@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "bson/codec.h"
 #include "common/lz.h"
@@ -366,29 +367,35 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   conjuncts.push_back(query::MakeGeoWithinBox("location", rect));
   const query::ExprPtr expr = query::MakeAnd(std::move(conjuncts));
 
+  const auto die = [](const char* what, const Status& s) {
+    fprintf(stderr, "cold scan: %s: %s\n", what, s.ToString().c_str());
+    exit(1);
+  };
   const bool bucketed = store.bucketed();
   storage::BucketLayout layout;
   query::BucketPruneSpec spec;
+  std::optional<storage::BucketSelection> selection;
   if (bucketed) {
     layout = store.bucket_catalog()->layout();
     spec = query::ExtractBucketPredicates(expr, layout);
+    selection = query::CompileBucketSelection(expr, layout);
+    if (!selection.has_value()) {
+      die("bucket selection", Status::Internal("query did not compile"));
+    }
   }
 
   // Timed: decompress every block, parse every stored document, answer the
   // query. The bucket path checks the pruning metadata before touching the
   // columns, counts covered buckets straight off the metadata, and answers
-  // the survivors columnar-first (ts/lon/lat only — ids and payload
-  // residuals stay encoded), falling back to a full decode + filter only
-  // for buckets without a location column. The row path has no such
+  // the survivors columnar-first (ts/lon/lat first; ids and payload
+  // residuals are decoded only for buckets with matches, and only matching
+  // points are built), falling back to a full decode + filter only for
+  // buckets without a location column. The row path has no such
   // shortcut: a BSON document must be parsed before it can be matched.
   // Min of three repetitions: each repetition redoes every decompress,
   // parse and filter (the store state stays cold — nothing is cached
   // between passes), so the minimum strips allocator and branch-predictor
   // warm-up without warming the thing being measured.
-  const auto die = [](const char* what, const Status& s) {
-    fprintf(stderr, "cold scan: %s: %s\n", what, s.ToString().c_str());
-    exit(1);
-  };
   uint64_t scanned_points = 0;
   uint64_t matches = 0;
   const auto scan_image = [&] {
@@ -428,26 +435,20 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
           matches += meta->num_points;
           continue;
         }
-        // Columnar-first: the predicate is date range + rect, which the
-        // ts/lon/lat columns answer exactly (they are bit-exact with the
-        // reconstructed points) — the _id column and payload residuals
-        // never get decoded. Buckets without a location column (some
-        // point had a non-canonical location) fall back to full decode.
-        const Result<storage::BucketTimeLoc> cols =
-            storage::DecodeBucketTimeLoc(*doc);
-        if (!cols.ok()) die("bucket columns", cols.status());
-        if (cols->lon.size() == cols->ts.size()) {
-          for (size_t i = 0; i < cols->ts.size(); ++i) {
-            if (cols->ts[i] >= t0 && cols->ts[i] <= t1 &&
-                rect.Contains(geo::Point{cols->lon[i], cols->lat[i]})) {
-              ++matches;
-            }
-          }
+        // Columnar-first through the decoder queries use: the date range
+        // and rect are tested on the ts/lon/lat columns and only matching
+        // points are built, so the _id column and payload residuals of a
+        // bucket without matches never get decoded. Buckets without a
+        // location column (some point had a non-canonical location) come
+        // back whole and are filtered point by point.
+        bool selected = false;
+        const Result<std::vector<bson::Document>> points =
+            storage::DecodeBucket(*doc, layout, &*selection, &selected);
+        if (!points.ok()) die("bucket decode", points.status());
+        if (selected) {
+          matches += points->size();
           continue;
         }
-        const Result<std::vector<bson::Document>> points =
-            storage::DecodeBucket(*doc, layout);
-        if (!points.ok()) die("bucket decode", points.status());
         for (const bson::Document& point : *points) {
           if (expr->Matches(point)) ++matches;
         }

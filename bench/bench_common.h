@@ -161,11 +161,13 @@ double Percentile(std::vector<double> values, double p);
 /// index is usable, and it is where the layouts diverge: the row image
 /// parses one BSON document per point, the bucket image parses one per
 /// bucket, prunes on bucket metadata, counts covered buckets off the
-/// metadata alone and answers the surviving buckets from their ts/lon/lat
-/// columns (DecodeBucketTimeLoc — the _id column and payload residuals
-/// stay compressed). Fills the scan columns of `row`: wall millis, points/second
-/// scanned (total points represented, not documents parsed) and the match
-/// count (which must agree across layouts — bench_bucket checks).
+/// metadata alone and answers the surviving buckets through the selective
+/// DecodeBucket the query path uses (the ts/lon/lat columns are tested
+/// first; the _id column and payload residuals are decoded only for
+/// buckets with matches). Fills the scan columns of `row`: wall millis,
+/// points/second scanned (total points represented, not documents parsed)
+/// and the match count (which must agree across layouts — bench_bucket
+/// checks).
 void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
                      PerfSummary* row);
 

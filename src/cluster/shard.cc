@@ -441,6 +441,15 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   }
   exec_millis_ += timer.ElapsedMillis();
   batch.exhausted = done_;
+  if (Status s = exec_.status(); !s.ok()) {
+    // The plan failed mid-stream (a stored bucket did not decode): the
+    // stream is incomplete, so the batch carries the error, not results.
+    if (yield) exec_.SaveState();
+    batch.docs.clear();
+    batch.rids.clear();
+    batch.error = std::move(s);
+    return batch;
+  }
   if (yield) {
     // Detach before the lock drops: the executor collapses to KeyString
     // positions and the batch takes ownership of its documents, so writers

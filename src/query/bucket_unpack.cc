@@ -1,7 +1,11 @@
 #include "query/bucket_unpack.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
+
+#include "common/metrics.h"
 
 namespace stix::query {
 namespace {
@@ -276,17 +280,128 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
   return spec;
 }
 
+namespace {
+
+/// Folds one conjunct into `sel`; false when the node is outside the
+/// compilable subset (see CompileBucketSelection).
+bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
+                 storage::BucketSelection* sel) {
+  switch (expr->kind()) {
+    case MatchExpr::Kind::kAnd: {
+      for (const ExprPtr& child :
+           static_cast<const AndExpr&>(*expr).children()) {
+        if (!CompileInto(child, layout, sel)) return false;
+      }
+      return true;
+    }
+    case MatchExpr::Kind::kCmp: {
+      const auto& cmp = static_cast<const CmpExpr&>(*expr);
+      if (cmp.path() != layout.time_field ||
+          cmp.value().type() != bson::Type::kDateTime) {
+        return false;
+      }
+      constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+      constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+      const int64_t v = cmp.value().AsDateTime();
+      // Strict bounds become closed ones; a strict bound past the end of
+      // the int64 range selects nothing (lo > hi).
+      int64_t lo = kMin, hi = kMax;
+      switch (cmp.op()) {
+        case CmpOp::kGte:
+          lo = v;
+          break;
+        case CmpOp::kGt:
+          if (v == kMax) {
+            std::swap(lo, hi);
+          } else {
+            lo = v + 1;
+          }
+          break;
+        case CmpOp::kLte:
+          hi = v;
+          break;
+        case CmpOp::kLt:
+          if (v == kMin) {
+            std::swap(lo, hi);
+          } else {
+            hi = v - 1;
+          }
+          break;
+        case CmpOp::kEq:
+          lo = hi = v;
+          break;
+      }
+      sel->min_ts = std::max(sel->min_ts, lo);
+      sel->max_ts = std::min(sel->max_ts, hi);
+      return true;
+    }
+    case MatchExpr::Kind::kGeoWithinBox: {
+      const auto& g = static_cast<const GeoWithinBoxExpr&>(*expr);
+      if (g.path() != layout.location_field) return false;
+      sel->rects.push_back(g.box());
+      return true;
+    }
+    case MatchExpr::Kind::kGeoIntersectsBox: {
+      // On a point location $geoIntersects is the same box containment.
+      const auto& g = static_cast<const GeoIntersectsBoxExpr&>(*expr);
+      if (g.path() != layout.location_field) return false;
+      sel->rects.push_back(g.box());
+      return true;
+    }
+    case MatchExpr::Kind::kGeoWithinPolygon: {
+      const auto& g = static_cast<const GeoWithinPolygonExpr&>(*expr);
+      if (g.path() != layout.location_field) return false;
+      sel->polygons.push_back(g.polygon());
+      return true;
+    }
+    case MatchExpr::Kind::kRangeSet: {
+      const auto& rs = static_cast<const RangeSetExpr&>(*expr);
+      if (rs.path() != layout.hilbert_field) return false;
+      std::vector<std::pair<int64_t, int64_t>> ranges;
+      ranges.reserve(rs.ranges().size());
+      for (const RangeSetExpr::Range& r : rs.ranges()) {
+        if (r.lo.type() != bson::Type::kInt64 ||
+            r.hi.type() != bson::Type::kInt64) {
+          return false;
+        }
+        ranges.emplace_back(r.lo.AsInt64(), r.hi.AsInt64());
+      }
+      sel->hil_range_sets.push_back(std::move(ranges));
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::optional<storage::BucketSelection> CompileBucketSelection(
+    const ExprPtr& expr, const storage::BucketLayout& layout) {
+  // The columns hold top-level fields; a dotted name would make the
+  // expression's path walk disagree with them.
+  for (const std::string* f : {&layout.time_field, &layout.location_field,
+                               &layout.hilbert_field}) {
+    if (f->find('.') != std::string::npos) return std::nullopt;
+  }
+  storage::BucketSelection sel;
+  if (expr == nullptr || !CompileInto(expr, layout, &sel)) return std::nullopt;
+  return sel;
+}
+
 BucketUnpackStage::BucketUnpackStage(
     std::unique_ptr<PlanStage> child, ExprPtr point_expr,
     std::shared_ptr<const storage::BucketLayout> layout)
     : child_(std::move(child)),
       point_expr_(std::move(point_expr)),
       layout_(std::move(layout)),
-      prune_(ExtractBucketPredicates(point_expr_, *layout_)) {}
+      prune_(ExtractBucketPredicates(point_expr_, *layout_)),
+      selection_(CompileBucketSelection(point_expr_, *layout_)) {}
 
 PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
                                          const bson::Document** doc_out) {
   *doc_out = nullptr;
+  if (!status_.ok()) return State::kEof;
   if (next_pending_ < arena_.size()) {
     *rid_out = pending_rid_;
     *doc_out = &arena_[next_pending_++];
@@ -316,28 +431,38 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
 
   Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
   if (!meta.ok()) {
-    ++decode_errors_;
-    return State::kNeedTime;
+    status_ = meta.status();
+    return State::kEof;
   }
   if (!prune_.MayContain(*meta)) {
     ++buckets_pruned_;
+    STIX_METRIC_COUNTER(pruned_counter, "bucket.buckets_pruned");
+    pruned_counter.Increment();
     return State::kNeedTime;
   }
-
-  Result<std::vector<bson::Document>> points =
-      storage::DecodeBucket(*doc, *layout_);
-  if (!points.ok()) {
-    ++decode_errors_;
-    return State::kNeedTime;
-  }
-  points_unpacked_ += points->size();
 
   // A bucket whose metadata lies wholly inside an exact spec needs no
   // per-point filtering: every decoded point matches by construction.
-  const bool covered = prune_.Covers(*meta);
+  const bool covered = point_expr_ == nullptr || prune_.Covers(*meta);
+  bool selected = false;
+  Result<std::vector<bson::Document>> points = storage::DecodeBucket(
+      *doc, *layout_,
+      covered || !selection_.has_value() ? nullptr : &*selection_,
+      &selected);
+  if (!points.ok()) {
+    status_ = points.status();
+    return State::kEof;
+  }
+  points_unpacked_ += meta->num_points;
+  points_materialized_ += points->size();
+  STIX_METRIC_COUNTER(unpacked_counter, "bucket.points_unpacked");
+  unpacked_counter.Increment(meta->num_points);
+  STIX_METRIC_COUNTER(materialized_counter, "bucket.points_materialized");
+  materialized_counter.Increment(points->size());
+
   const size_t before = arena_.size();
   for (bson::Document& point : *points) {
-    if (covered || point_expr_ == nullptr || point_expr_->Matches(point)) {
+    if (covered || selected || point_expr_->Matches(point)) {
       arena_.push_back(std::move(point));
     }
   }
@@ -366,6 +491,7 @@ ExplainNode BucketUnpackStage::Explain() const {
   if (point_expr_ != nullptr) node.filter = point_expr_->DebugString();
   node.buckets_pruned = buckets_pruned_;
   node.points_unpacked = points_unpacked_;
+  node.points_materialized = points_materialized_;
   FillExplainBase(&node);
   node.children.push_back(child_->Explain());
   return node;

@@ -70,11 +70,31 @@ struct BucketPruneSpec {
 BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
                                         const storage::BucketLayout& layout);
 
+/// Compiles `expr` into the column predicate DecodeBucket evaluates before
+/// building documents — only when the expression is a conjunction ($and,
+/// nested or not) of these leaves, each on a top-level field of the layout:
+///  - a time_field comparison against a DateTime,
+///  - $geoWithin $box, $geoIntersects $box or $geoWithin $polygon on
+///    location_field,
+///  - a hilbert_field RangeSet whose bounds are all Int64.
+/// The selection then decides exactly what `expr->Matches` decides on every
+/// rebuilt point. Any other shape (null, $or, $in, residual fields) returns
+/// nullopt and the unpack stage keeps the full decode plus Matches.
+std::optional<storage::BucketSelection> CompileBucketSelection(
+    const ExprPtr& expr, const storage::BucketLayout& layout);
+
 /// MongoDB's $_internalUnpackBucket as a plan stage: pulls bucket documents
 /// from its child (FETCH over the widened bounds, or COLLSCAN), prunes
 /// whole buckets on their metadata (time extent, MBR, hilbert ranges),
 /// decompresses the survivors and streams out the points that match the
-/// exact point-level expression.
+/// exact point-level expression. When the expression compiles to a column
+/// predicate (CompileBucketSelection) the filter runs on the ts/lon/lat/hil
+/// columns and only matching points are materialized; otherwise every
+/// point is rebuilt and tested with Matches.
+///
+/// A bucket that fails to decode fails the stage: it records the
+/// Corruption status (see status()) and reports end of stream, so the read
+/// surfaces an error instead of silently missing the bucket's points.
 ///
 /// Decoded points live in a stage-owned arena that is never discarded while
 /// the stage lives, so emitted document pointers obey the same borrowed-
@@ -84,8 +104,10 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
 ///
 /// Counter semantics: docs_examined stays 0 here (the child's FETCH/
 /// COLLSCAN already counted each bucket load, keeping the explain
-/// sum-over-tree invariant); buckets_pruned / points_unpacked are this
-/// stage's own new explain fields.
+/// sum-over-tree invariant); buckets_pruned / points_unpacked /
+/// points_materialized are this stage's own explain fields. points_unpacked
+/// counts every point of every bucket that was not pruned;
+/// points_materialized counts the point documents actually built.
 class BucketUnpackStage : public PlanStage {
  public:
   BucketUnpackStage(std::unique_ptr<PlanStage> child, ExprPtr point_expr,
@@ -96,6 +118,7 @@ class BucketUnpackStage : public PlanStage {
   void AccumulateStats(ExecStats* stats) const override;
   std::string Summary() const override;
   ExplainNode Explain() const override;
+  Status status() const override { return status_; }
 
   uint64_t buckets_pruned() const { return buckets_pruned_; }
   uint64_t points_unpacked() const { return points_unpacked_; }
@@ -108,6 +131,7 @@ class BucketUnpackStage : public PlanStage {
   ExprPtr point_expr_;
   std::shared_ptr<const storage::BucketLayout> layout_;
   BucketPruneSpec prune_;
+  std::optional<storage::BucketSelection> selection_;
 
   /// Pointer-stable arena of every matching decoded point (deque: grows
   /// without relocation). Pending points are emitted one per Work() call.
@@ -117,7 +141,8 @@ class BucketUnpackStage : public PlanStage {
 
   uint64_t buckets_pruned_ = 0;
   uint64_t points_unpacked_ = 0;
-  uint64_t decode_errors_ = 0;
+  uint64_t points_materialized_ = 0;
+  Status status_;
 };
 
 }  // namespace stix::query

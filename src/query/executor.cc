@@ -318,7 +318,8 @@ void PlanExecutor::Finish() {
   // stream abandoned early (limit) stores nothing: a partial works count
   // would poison those budgets.
   const bool selected = raced_ || planned_by_ == PlannedBy::kCost;
-  if (selected && winner_ != nullptr && winner_->eof && cache_ != nullptr) {
+  if (selected && winner_ != nullptr && winner_->eof && cache_ != nullptr &&
+      status().ok()) {
     if (shape_.empty()) shape_ = MakeShape();
     cache_->Store(shape_, winner_->plan->index_name, winner_->works);
   }

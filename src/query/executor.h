@@ -181,6 +181,12 @@ class PlanExecutor {
   /// True once Next() has returned false.
   bool exhausted() const { return phase_ == Phase::kDone; }
 
+  /// Non-OK when the winning plan failed (e.g. a corrupt bucket): the
+  /// stream ended early and its results are incomplete.
+  Status status() const {
+    return winner_ == nullptr ? Status::OK() : winner_->plan->root->status();
+  }
+
   /// Detaches the execution from btree/record-store memory so the
   /// collection may mutate while the executor is dormant (a MongoDB yield):
   /// unreturned trial-race results are materialized into executor-owned

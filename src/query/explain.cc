@@ -83,7 +83,8 @@ std::string ExplainNode::ToJson(ExplainVerbosity v) const {
         << ", \"docsExamined\": " << docs_examined;
     if (stage == "BUCKET_UNPACK") {
       out << ", \"bucketsPruned\": " << buckets_pruned
-          << ", \"pointsUnpacked\": " << points_unpacked;
+          << ", \"pointsUnpacked\": " << points_unpacked
+          << ", \"pointsMaterialized\": " << points_materialized;
     }
     if (est_keys >= 0.0) {
       char buf[32];

@@ -39,7 +39,11 @@ struct ExplainNode {
   uint64_t keys_examined = 0;  ///< IXSCAN only.
   uint64_t docs_examined = 0;  ///< FETCH/COLLSCAN only.
   uint64_t buckets_pruned = 0;    ///< BUCKET_UNPACK: skipped via metadata.
-  uint64_t points_unpacked = 0;   ///< BUCKET_UNPACK: decompressed points.
+  /// BUCKET_UNPACK: points of the buckets that were not pruned, and the
+  /// point documents actually built (only the matches, when the filter
+  /// ran on the columns).
+  uint64_t points_unpacked = 0;
+  uint64_t points_materialized = 0;
   /// Wall time spent inside this stage's Work() calls, children included
   /// (MongoDB's executionTimeMillisEstimate is likewise inclusive).
   /// Negative when stage timing was not enabled for the execution.

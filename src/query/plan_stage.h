@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "common/status.h"
 #include "index/index.h"
 #include "index/index_bounds.h"
 #include "query/explain.h"
@@ -98,6 +99,11 @@ class PlanStage {
   virtual void AccumulateStats(ExecStats* stats) const = 0;
 
   virtual std::string Summary() const = 0;
+
+  /// Non-OK once the stage has failed (a stored document it could not
+  /// decode); a failed stage reports end of stream from then on. Only a
+  /// plan's root is consulted, so a stage that can fail must be the root.
+  virtual Status status() const { return Status::OK(); }
 
  protected:
   /// Copies the base counters (works/advanced/time) into an explain node.

@@ -78,6 +78,7 @@ bool TryExtractSinglePathOr(const OrExpr& or_expr, std::string* path,
 
 std::map<std::string, PathInfo> AnalyzeQuery(const ExprPtr& expr) {
   std::map<std::string, PathInfo> paths;
+  if (expr == nullptr) return paths;
   std::vector<const MatchExpr*> conjuncts;
   if (expr->kind() == MatchExpr::Kind::kAnd) {
     for (const ExprPtr& child :

@@ -25,7 +25,7 @@ struct PathInfo {
 
 /// Decomposes the top-level conjunction of `expr` into per-path constraint
 /// summaries. Unrecognised sub-expressions simply contribute nothing (they
-/// remain residual-filter-only).
+/// remain residual-filter-only). A null expression constrains nothing.
 std::map<std::string, PathInfo> AnalyzeQuery(const ExprPtr& expr);
 
 /// Bounds for an ascending index/shard-key field: the $or interval list if

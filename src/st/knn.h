@@ -47,6 +47,9 @@ struct KnnResult {
   /// search streams each probe and keeps only the best k, so this bounds
   /// transient memory at k + one batch per shard regardless of ring size.
   uint64_t candidates_examined = 0;
+  /// Non-OK when a ring probe failed (the first failing probe's cursor
+  /// status); the search stops there and `neighbors` is empty.
+  Status status;
 };
 
 /// Finds the k documents nearest to `center` among those within the closed

@@ -474,6 +474,9 @@ std::optional<double> StStore::MinBucketDistanceM(geo::Point center,
       if (*best == 0.0) return best;  // cannot improve on zero
     }
   }
+  // A failed scan saw only some buckets: its minimum may overshoot the
+  // true one, so it seeds nothing.
+  if (!cursor->status().ok()) return std::nullopt;
   return best;
 }
 

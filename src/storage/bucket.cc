@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "bson/codec.h"
 #include "bson/simple8b.h"
@@ -272,29 +273,42 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
 
   for (size_t i = 0; i < n; ++i) {
     const bson::Document& p = points[i];
+    // Only the first field of each name is a candidate, as for
+    // Document::Get: a column holding a later duplicate would let a
+    // BucketSelection test another value than Matches does.
+    bool seen_ts = false, seen_loc = false, seen_id = false, seen_hil = false;
     bool got_ts = false, got_loc = false, got_id = false, got_hil = false;
     for (size_t fi = 0; fi < p.size(); ++fi) {
       const auto& [name, value] = p.field(fi);
-      if (!got_ts && name == layout.time_field &&
-          value.type() == bson::Type::kDateTime) {
-        ts[i] = value.AsDateTime();
-        positions[i * kNumSlots + kSlotTs] = static_cast<int64_t>(fi);
-        got_ts = true;
-      } else if (!got_loc && name == layout.location_field &&
-                 IsCanonicalGeoPoint(value, &lon[i], &lat[i])) {
-        positions[i * kNumSlots + kSlotLoc] = static_cast<int64_t>(fi);
-        got_loc = true;
-      } else if (!got_id && name == "_id" &&
-                 value.type() == bson::Type::kObjectId) {
-        const auto& bytes = value.AsObjectId().bytes();
-        ids.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-        positions[i * kNumSlots + kSlotId] = static_cast<int64_t>(fi);
-        got_id = true;
-      } else if (!got_hil && name == layout.hilbert_field &&
-                 value.type() == bson::Type::kInt64) {
-        hil[i] = value.AsInt64();
-        positions[i * kNumSlots + kSlotHil] = static_cast<int64_t>(fi);
-        got_hil = true;
+      if (name == layout.time_field) {
+        if (!std::exchange(seen_ts, true) &&
+            value.type() == bson::Type::kDateTime) {
+          ts[i] = value.AsDateTime();
+          positions[i * kNumSlots + kSlotTs] = static_cast<int64_t>(fi);
+          got_ts = true;
+        }
+      } else if (name == layout.location_field) {
+        if (!std::exchange(seen_loc, true) &&
+            IsCanonicalGeoPoint(value, &lon[i], &lat[i])) {
+          positions[i * kNumSlots + kSlotLoc] = static_cast<int64_t>(fi);
+          got_loc = true;
+        }
+      } else if (name == "_id") {
+        if (!std::exchange(seen_id, true) &&
+            value.type() == bson::Type::kObjectId) {
+          const auto& bytes = value.AsObjectId().bytes();
+          ids.append(reinterpret_cast<const char*>(bytes.data()),
+                     bytes.size());
+          positions[i * kNumSlots + kSlotId] = static_cast<int64_t>(fi);
+          got_id = true;
+        }
+      } else if (name == layout.hilbert_field) {
+        if (!std::exchange(seen_hil, true) &&
+            value.type() == bson::Type::kInt64) {
+          hil[i] = value.AsInt64();
+          positions[i * kNumSlots + kSlotHil] = static_cast<int64_t>(fi);
+          got_hil = true;
+        }
       }
     }
     if (!got_ts) {
@@ -572,56 +586,9 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
   return out;
 }
 
-Result<BucketTimeLoc> DecodeBucketTimeLoc(const bson::Document& bucket) {
-  if (!IsBucketDocument(bucket)) {
-    return Status::Corruption("not a bucket document");
-  }
-  Result<BucketMeta> meta = ParseBucketMeta(bucket);
-  if (!meta.ok()) return meta.status();
-  const size_t n = meta->num_points;
-  const bson::Document& data = bucket.Get(kBucketDataField)->AsDocument();
-
-  const auto column = [&data](std::string_view name) -> const std::string* {
-    const bson::Value* v = data.Get(name);
-    if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
-    return &v->AsString();
-  };
-
-  const std::string* ts_col = column("ts");
-  if (ts_col == nullptr) {
-    return Status::Corruption("bucket data columns are missing");
-  }
-  BucketTimeLoc out;
-  std::string_view view = *ts_col;
-  Result<std::vector<int64_t>> ts = bson::DecodeInt64Column(&view);
-  if (!ts.ok()) return ts.status();
-  if (ts->size() != n) {
-    return Status::Corruption("bucket column lengths disagree with meta.n");
-  }
-  out.ts = std::move(*ts);
-
-  if (const std::string* lon_col = column("lon")) {
-    const std::string* lat_col = column("lat");
-    if (lat_col == nullptr) {
-      return Status::Corruption("bucket lon column without lat");
-    }
-    view = *lon_col;
-    Result<std::vector<double>> lons = bson::DecodeDoubleColumn(&view);
-    if (!lons.ok()) return lons.status();
-    view = *lat_col;
-    Result<std::vector<double>> lats = bson::DecodeDoubleColumn(&view);
-    if (!lats.ok()) return lats.status();
-    if (lons->size() != n || lats->size() != n) {
-      return Status::Corruption("bucket location columns are short");
-    }
-    out.lon = std::move(*lons);
-    out.lat = std::move(*lats);
-  }
-  return out;
-}
-
-Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
-                                                 const BucketLayout& layout) {
+Result<std::vector<bson::Document>> DecodeBucket(
+    const bson::Document& bucket, const BucketLayout& layout,
+    const BucketSelection* selection, bool* selected) {
   if (!IsBucketDocument(bucket)) {
     return Status::Corruption("not a bucket document");
   }
@@ -640,6 +607,8 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
   const std::string* pos_col = column("pos");
   const std::string* res_col = column("res");
   const std::string* cols_col = column("cols");
+  const std::string* lon_col = column("lon");
+  const std::string* hil_col = column("hil");
   if (ts_col == nullptr || pos_col == nullptr ||
       (res_col == nullptr) == (cols_col == nullptr)) {
     return Status::Corruption("bucket data columns are missing");
@@ -648,15 +617,13 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
   std::string_view view = *ts_col;
   Result<std::vector<int64_t>> ts = bson::DecodeInt64Column(&view);
   if (!ts.ok()) return ts.status();
-  view = *pos_col;
-  Result<std::vector<int64_t>> positions = bson::DecodeInt64Column(&view);
-  if (!positions.ok()) return positions.status();
-  if (ts->size() != n || positions->size() != n * kNumSlots) {
+  if (ts->size() != n) {
     return Status::Corruption("bucket column lengths disagree with meta.n");
   }
 
   std::vector<double> lon, lat;
-  if (const std::string* lon_col = column("lon")) {
+  const auto decode_loc = [&]() -> Status {
+    if (lon_col == nullptr || lon.size() == n) return Status::OK();
     const std::string* lat_col = column("lat");
     if (lat_col == nullptr) {
       return Status::Corruption("bucket lon column without lat");
@@ -672,10 +639,11 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
     }
     lon = std::move(*lons);
     lat = std::move(*lats);
-  }
-
+    return Status::OK();
+  };
   std::vector<int64_t> hil;
-  if (const std::string* hil_col = column("hil")) {
+  const auto decode_hil = [&]() -> Status {
+    if (hil_col == nullptr || hil.size() == n) return Status::OK();
     view = *hil_col;
     Result<std::vector<int64_t>> hils = bson::DecodeInt64Column(&view);
     if (!hils.ok()) return hils.status();
@@ -683,7 +651,71 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
       return Status::Corruption("bucket hilbert column is short");
     }
     hil = std::move(*hils);
+    return Status::OK();
+  };
+
+  // Selection mask, one byte per point; empty selects every point.
+  std::vector<uint8_t> keep;
+  const bool apply =
+      selection != nullptr &&
+      (lon_col != nullptr ||
+       (selection->rects.empty() && selection->polygons.empty())) &&
+      (hil_col != nullptr || selection->hil_range_sets.empty());
+  if (selected != nullptr) *selected = apply;
+  size_t kept = n;
+  if (apply) {
+    keep.resize(n);
+    kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      keep[i] = static_cast<uint8_t>(((*ts)[i] >= selection->min_ts) &
+                                     ((*ts)[i] <= selection->max_ts));
+      kept += keep[i];
+    }
+    if (kept > 0 &&
+        (!selection->rects.empty() || !selection->polygons.empty())) {
+      if (Status s = decode_loc(); !s.ok()) return s;
+      kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i] == 0) continue;
+        const geo::Point p{lon[i], lat[i]};
+        for (const geo::Rect& r : selection->rects) {
+          keep[i] &= static_cast<uint8_t>(r.Contains(p));
+        }
+        for (const geo::Polygon& poly : selection->polygons) {
+          if (keep[i] == 0) break;
+          keep[i] = static_cast<uint8_t>(poly.Contains(p));
+        }
+        kept += keep[i];
+      }
+    }
+    if (kept > 0 && !selection->hil_range_sets.empty()) {
+      if (Status s = decode_hil(); !s.ok()) return s;
+      kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (const auto& ranges : selection->hil_range_sets) {
+          if (keep[i] == 0) break;
+          const auto it = std::lower_bound(
+              ranges.begin(), ranges.end(), hil[i],
+              [](const std::pair<int64_t, int64_t>& r, int64_t v) {
+                return r.second < v;
+              });
+          keep[i] = static_cast<uint8_t>(it != ranges.end() &&
+                                         it->first <= hil[i]);
+        }
+        kept += keep[i];
+      }
+    }
+    if (kept == 0) return std::vector<bson::Document>();
   }
+
+  view = *pos_col;
+  Result<std::vector<int64_t>> positions = bson::DecodeInt64Column(&view);
+  if (!positions.ok()) return positions.status();
+  if (positions->size() != n * kNumSlots) {
+    return Status::Corruption("bucket column lengths disagree with meta.n");
+  }
+  if (Status s = decode_loc(); !s.ok()) return s;
+  if (Status s = decode_hil(); !s.ok()) return s;
 
   std::string ids;
   bool has_ids = false;
@@ -712,8 +744,9 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
   }
 
   std::vector<bson::Document> points;
-  points.reserve(n);
+  points.reserve(kept);
   for (size_t i = 0; i < n; ++i) {
+    const bool skip = !keep.empty() && keep[i] == 0;
     bson::Document res;
     size_t res_count = rescols.fields.size();
     if (res_col != nullptr) {
@@ -722,12 +755,18 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
       if (res_view.size() < *res_len) {
         return Status::Corruption("bucket residuals are truncated");
       }
+      if (skip) {
+        res_view.remove_prefix(*res_len);
+        continue;
+      }
       Result<bson::Document> parsed =
           bson::DecodeBson(res_view.substr(0, *res_len));
       if (!parsed.ok()) return parsed.status();
       res_view.remove_prefix(*res_len);
       res = std::move(*parsed);
       res_count = res.size();
+    } else if (skip) {
+      continue;
     }
 
     const int64_t* pos = &(*positions)[i * kNumSlots];

@@ -2,12 +2,14 @@
 #define STIX_STORAGE_BUCKET_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bson/document.h"
 #include "common/status.h"
 #include "geo/geo.h"
+#include "geo/region.h"
 
 namespace stix::storage {
 
@@ -104,27 +106,40 @@ Result<BucketKey> ComputeBucketKey(const bson::Document& point,
 Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
                                     const BucketLayout& layout);
 
+/// A conjunctive per-point predicate over the bucket's ts, lon/lat and hil
+/// columns. Each leaf decides exactly what the corresponding match
+/// expression decides on the rebuilt point (the columns are bit-exact with
+/// it): closed time bounds, boundary-inclusive geo::Rect / geo::Polygon
+/// containment, and the RangeSet rule (the first range with hi >= value
+/// must have lo <= value).
+struct BucketSelection {
+  /// Closed bounds on the time column; min_ts > max_ts selects nothing.
+  int64_t min_ts = std::numeric_limits<int64_t>::min();
+  int64_t max_ts = std::numeric_limits<int64_t>::max();
+  /// The location must lie in every rect and every polygon.
+  std::vector<geo::Rect> rects;
+  std::vector<geo::Polygon> polygons;
+  /// Sorted, disjoint closed [lo, hi] hilbert ranges; the point's value
+  /// must fall in one range of every set.
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> hil_range_sets;
+};
+
 /// Reverses EncodeBucket, reproducing the original point documents in
-/// insertion order.
-Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
-                                                 const BucketLayout& layout);
+/// insertion order. With a selection, the columns it tests are decoded
+/// first (ts, then lon/lat, then hil, each only while some point survives)
+/// and only the surviving points are built: the position and _id columns
+/// and the residuals are decoded only when some point survives, and
+/// per-point BSON residuals of unselected points are skipped unparsed.
+/// A bucket lacking a column the selection needs (some point had a
+/// non-canonical location or no Int64 hilbert) decodes every point instead.
+/// *selected, when non-null, reports which of the two happened: true iff
+/// the returned points are exactly the ones satisfying the selection.
+Result<std::vector<bson::Document>> DecodeBucket(
+    const bson::Document& bucket, const BucketLayout& layout,
+    const BucketSelection* selection = nullptr, bool* selected = nullptr);
 
 /// Decodes only the pruning metadata (no column access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);
-
-/// The predicate columns of one bucket: exact per-point timestamps and
-/// coordinates, decoded without touching the _id column, the position
-/// column or the payload residuals. A rect+time predicate evaluated on
-/// these is equal to evaluating it on the reconstructed points (the
-/// columns are bit-exact), so scans can filter columnar-first and
-/// materialize full documents only for matches.
-struct BucketTimeLoc {
-  std::vector<int64_t> ts;
-  /// Empty (not zero-filled) when the bucket has no location column —
-  /// callers must fall back to full DecodeBucket for spatial predicates.
-  std::vector<double> lon, lat;
-};
-Result<BucketTimeLoc> DecodeBucketTimeLoc(const bson::Document& bucket);
 
 }  // namespace stix::storage
 

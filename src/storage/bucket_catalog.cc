@@ -26,6 +26,7 @@ BucketCatalog::BucketCatalog(BucketLayout layout, BucketCatalogOptions options,
   registry.GetCounter("bucket.bytes_encoded");
   registry.GetCounter("bucket.buckets_pruned");
   registry.GetCounter("bucket.points_unpacked");
+  registry.GetCounter("bucket.points_materialized");
   registry.GetGauge("bucket.compression_ratio");
   registry.GetGauge("bucket.open_buckets");
 }

@@ -120,27 +120,27 @@ TEST(BucketCodecTest, MetaMatchesPoints) {
 }
 
 TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
+  // A selection pinned to one point's exact (ts, lon, lat) — a degenerate
+  // time range and a zero-area rect — must select that point and no other:
+  // the columns the selection tests are bit-exact with the rebuilt point,
+  // not just approximately equal, and the point comes back byte-identical.
   const BucketLayout layout;
   const std::vector<bson::Document> points = MakeWindowPoints(layout, 48);
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
-  const Result<BucketTimeLoc> cols = DecodeBucketTimeLoc(*bucket);
-  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-  ASSERT_EQ(cols->ts.size(), points.size());
-  ASSERT_EQ(cols->lon.size(), points.size());
-  ASSERT_EQ(cols->lat.size(), points.size());
-  const Result<std::vector<bson::Document>> back =
-      DecodeBucket(*bucket, layout);
-  ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(cols->ts[i], (*back)[i].Get(layout.time_field)->AsDateTime());
     double lon = 0, lat = 0;
     ASSERT_TRUE(bson::ExtractGeoJsonPoint(
-        *(*back)[i].Get(layout.location_field), &lon, &lat));
-    // Bit-exact, not just approximately equal: a columnar predicate must
-    // agree with one evaluated on the reconstructed documents.
-    EXPECT_EQ(std::memcmp(&cols->lon[i], &lon, sizeof lon), 0);
-    EXPECT_EQ(std::memcmp(&cols->lat[i], &lat, sizeof lat), 0);
+        *points[i].Get(layout.location_field), &lon, &lat));
+    BucketSelection sel;
+    sel.min_ts = sel.max_ts = points[i].Get(layout.time_field)->AsDateTime();
+    sel.rects.push_back(geo::Rect{{lon, lat}, {lon, lat}});
+    bool selected = false;
+    const Result<std::vector<bson::Document>> one =
+        DecodeBucket(*bucket, layout, &sel, &selected);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_TRUE(selected);
+    ExpectBitExact({points[i]}, *one);
   }
 }
 

@@ -1,7 +1,8 @@
 // stix_fuzz — deterministic differential fuzzing of the query stack.
 //
 // From a single 64-bit seed, generates a randomized workload (skewed + uniform
-// documents, rect+time queries, limits, batch sizes, mid-run chunk
+// documents, a few with a non-canonical location or an extra array field,
+// rect+time and polygon+time queries, limits, batch sizes, mid-run chunk
 // splits/migrations) and checks all four approaches (bslST, bslTS, hil, hil*)
 // — under either plan-selection mode (--planner=race|cost|both; "both" also
 // cross-checks race vs cost results byte-for-byte) — against a brute-force
@@ -15,6 +16,8 @@
 //                                 shards equal that execution's totals
 //   * rect-splitting additivity — partitioning the query rectangle partitions
 //                                 the result set
+//   * polygon containment       — a polygon's answer is a subset of the
+//                                 answer for the rect around it
 //
 // A final fail-point phase proves injected faults are either tolerated
 // (delay / forced replan: identical results) or surfaced (error: non-OK
@@ -39,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -108,25 +112,44 @@ struct FuzzConfig {
   std::string curve = "hilbert";
 };
 
+// How a generated document is laid out. The odd shapes leave what the
+// oracle sees (position, time, fid) untouched; they steer bucketed stores
+// off the columnar selection path: a non-canonical location leaves its
+// bucket without lon/lat columns, an extra array field forces the
+// per-point BSON residual encoding.
+enum class DocShape : uint8_t {
+  kCanonical,
+  kOddLocation,  ///< GeoJSON point with "coordinates" before "type".
+  kExtraField,   ///< Carries an extra "tags" array.
+};
+
 // Ground-truth record of one generated document.
 struct FuzzDoc {
   double lon;
   double lat;
   int64_t t_ms;
   int32_t fid;
+  DocShape shape = DocShape::kCanonical;
 };
 
 struct FuzzQuery {
   geo::Rect rect;
   int64_t t_begin_ms;
   int64_t t_end_ms;
+  /// When set, the query is this polygon (lying inside `rect`) instead of
+  /// the rect.
+  std::optional<geo::Polygon> polygon;
+
+  bool Contains(geo::Point p) const {
+    return polygon.has_value() ? polygon->Contains(p) : rect.Contains(p);
+  }
 };
 
 std::vector<int32_t> OracleFids(const std::vector<FuzzDoc>& docs,
                                 const FuzzQuery& q) {
   std::vector<int32_t> fids;
   for (const FuzzDoc& d : docs) {
-    if (q.rect.Contains({d.lon, d.lat}) && d.t_ms >= q.t_begin_ms &&
+    if (q.Contains({d.lon, d.lat}) && d.t_ms >= q.t_begin_ms &&
         d.t_ms <= q.t_end_ms) {
       fids.push_back(d.fid);
     }
@@ -159,13 +182,23 @@ struct SeedContext {
   void Report(const char* approach, const char* check, const FuzzQuery& q,
               size_t expected, size_t got) {
     ++divergences;
+    std::string polygon;
+    if (q.polygon.has_value()) {
+      polygon = " polygon=[";
+      char buf[64];
+      for (const geo::Point& v : q.polygon->vertices()) {
+        std::snprintf(buf, sizeof(buf), "(%.6f,%.6f)", v.lon, v.lat);
+        polygon += buf;
+      }
+      polygon += "]";
+    }
     std::fprintf(stderr,
                  "DIVERGENCE seed=%" PRIu64
-                 " approach=%s check=%s rect=[(%.6f,%.6f)-(%.6f,%.6f)] "
+                 " approach=%s check=%s rect=[(%.6f,%.6f)-(%.6f,%.6f)]%s "
                  "t=[%" PRId64 ",%" PRId64 "] expected=%zu got=%zu\n",
                  seed, approach, check, q.rect.lo.lon, q.rect.lo.lat,
-                 q.rect.hi.lon, q.rect.hi.lat, q.t_begin_ms, q.t_end_ms,
-                 expected, got);
+                 q.rect.hi.lon, q.rect.hi.lat, polygon.c_str(), q.t_begin_ms,
+                 q.t_end_ms, expected, got);
     char threads_arg[32] = "";
     if (config->threads > 0) {
       std::snprintf(threads_arg, sizeof(threads_arg), " --threads=%d",
@@ -304,13 +337,81 @@ FuzzQuery GenerateQuery(Rng* rng, const geo::Rect& mbr, int64_t t0,
   return q;
 }
 
+// Draws the odd document shapes (3% each) from their own rng, so the
+// seed's base workload replays unchanged.
+void AssignDocShapes(Rng* rng, std::vector<FuzzDoc>* docs) {
+  for (FuzzDoc& d : *docs) {
+    const uint64_t r = rng->NextBounded(100);
+    d.shape = r < 3   ? DocShape::kOddLocation
+              : r < 6 ? DocShape::kExtraField
+                      : DocShape::kCanonical;
+  }
+}
+
+// A star-shaped (hence simple) polygon of 3-6 vertices inside q.rect,
+// sorted by angle around the rect's center. Sometimes one vertex is an
+// exact document position, so a point lands on the polygon's boundary.
+geo::Polygon MakeFuzzPolygon(Rng* rng, const geo::Rect& rect,
+                             const std::vector<FuzzDoc>& docs) {
+  const geo::Point c{(rect.lo.lon + rect.hi.lon) / 2,
+                     (rect.lo.lat + rect.hi.lat) / 2};
+  std::vector<std::pair<double, geo::Point>> verts;
+  const auto add = [&](geo::Point p) {
+    verts.emplace_back(std::atan2(p.lat - c.lat, p.lon - c.lon), p);
+  };
+  const int k = 3 + static_cast<int>(rng->NextBounded(4));
+  for (int i = 0; i < k; ++i) {
+    const double a = rng->NextDouble(0.0, 2.0 * M_PI);
+    const double r = rng->NextDouble(0.3, 1.0);
+    add({c.lon + r * rect.width() / 2 * std::cos(a),
+         c.lat + r * rect.height() / 2 * std::sin(a)});
+  }
+  if (!docs.empty() && rng->NextBool(0.3)) {
+    const FuzzDoc& d = docs[rng->NextBounded(docs.size())];
+    if (rect.Contains({d.lon, d.lat}) && (d.lon != c.lon || d.lat != c.lat)) {
+      add({d.lon, d.lat});
+    }
+  }
+  std::sort(verts.begin(), verts.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<geo::Point> points;
+  for (const auto& v : verts) points.push_back(v.second);
+  return geo::Polygon(std::move(points));
+}
+
 bson::Document MakeDoc(const FuzzDoc& d) {
   bson::Document doc;
-  doc.Append(st::kLocationField,
-             bson::Value::MakeDocument(bson::GeoJsonPoint(d.lon, d.lat)));
+  if (d.shape == DocShape::kOddLocation) {
+    bson::Document loc;
+    loc.Append("coordinates",
+               bson::Value::MakeArray(
+                   {bson::Value::Double(d.lon), bson::Value::Double(d.lat)}));
+    loc.Append("type", bson::Value::String("Point"));
+    doc.Append(st::kLocationField, bson::Value::MakeDocument(std::move(loc)));
+  } else {
+    doc.Append(st::kLocationField,
+               bson::Value::MakeDocument(bson::GeoJsonPoint(d.lon, d.lat)));
+  }
   doc.Append(st::kDateField, bson::Value::DateTime(d.t_ms));
   doc.Append("fid", bson::Value::Int32(d.fid));
+  if (d.shape == DocShape::kExtraField) {
+    doc.Append("tags", bson::Value::MakeArray({bson::Value::Int32(d.fid)}));
+  }
   return doc;
+}
+
+st::StQueryResult RunQuery(const StStore& store, const FuzzQuery& q) {
+  return q.polygon.has_value()
+             ? store.QueryPolygon(*q.polygon, q.t_begin_ms, q.t_end_ms)
+             : store.Query(q.rect, q.t_begin_ms, q.t_end_ms);
+}
+
+st::StCursor OpenQuery(const StStore& store, const FuzzQuery& q,
+                       const st::StCursorOptions& options) {
+  return q.polygon.has_value()
+             ? store.OpenPolygonQuery(*q.polygon, q.t_begin_ms, q.t_end_ms,
+                                      options)
+             : store.OpenQuery(q.rect, q.t_begin_ms, q.t_end_ms, options);
 }
 
 // Drains a streaming cursor fully; sets *status_out from the cursor summary.
@@ -353,8 +454,7 @@ bool CheckQuery(const std::vector<StStore*>& stores,
     const char* name = label.c_str();
 
     // 1. Oracle equality via Query().
-    const st::StQueryResult full = store->Query(q.rect, q.t_begin_ms,
-                                                q.t_end_ms);
+    const st::StQueryResult full = RunQuery(*store, q);
     if (!full.cluster.status.ok()) {
       ctx->Report(name, "query-status", q, 0, 1);
       return false;
@@ -373,9 +473,8 @@ bool CheckQuery(const std::vector<StStore*>& stores,
     st::StCursorOptions copts;
     copts.batch_size = batch;
     Status cursor_status;
-    const std::vector<int32_t> streamed = DrainFids(
-        store->OpenQuery(q.rect, q.t_begin_ms, q.t_end_ms, copts),
-        &cursor_status);
+    const std::vector<int32_t> streamed =
+        DrainFids(OpenQuery(*store, q, copts), &cursor_status);
     if (!cursor_status.ok() || streamed != oracle) {
       ctx->Report(name, "batch-invariance", q, oracle.size(), streamed.size());
       return false;
@@ -387,8 +486,8 @@ bool CheckQuery(const std::vector<StStore*>& stores,
     st::StCursorOptions lopts;
     lopts.batch_size = batch_sizes[rng->NextBounded(4)];
     lopts.limit = limit;
-    const std::vector<int32_t> limited = DrainFids(
-        store->OpenQuery(q.rect, q.t_begin_ms, q.t_end_ms, lopts), nullptr);
+    const std::vector<int32_t> limited =
+        DrainFids(OpenQuery(*store, q, lopts), nullptr);
     const size_t want =
         std::min<size_t>(static_cast<size_t>(limit), oracle.size());
     bool limit_ok = limited.size() == want && !HasDuplicates(limited);
@@ -398,6 +497,19 @@ bool CheckQuery(const std::vector<StStore*>& stores,
     if (!limit_ok) {
       ctx->Report(name, "limit-prefix", q, want, limited.size());
       return false;
+    }
+
+    if (q.polygon.has_value()) {
+      // In place of checks 4 and 5, which are rect-only: the polygon's
+      // answer is a subset of the answer for the rect it lies in.
+      const std::vector<int32_t> outer = SortedFids(
+          store->Query(q.rect, q.t_begin_ms, q.t_end_ms).cluster.docs);
+      if (!std::includes(outer.begin(), outer.end(), got.begin(),
+                         got.end())) {
+        ctx->Report(name, "polygon-in-rect", q, outer.size(), got.size());
+        return false;
+      }
+      continue;
     }
 
     // 4. Explain-tree consistency: explain executes the query once, and its
@@ -463,10 +575,10 @@ bool CheckPairParity(const std::vector<StStore*>& lhs,
   for (size_t i = 0; i < lhs.size(); ++i) {
     const std::string label =
         std::string(lhs[i]->approach().name()) + "/parity";
-    const std::vector<bson::Document> a = sorted_by_fid(
-        lhs[i]->Query(q.rect, q.t_begin_ms, q.t_end_ms).cluster.docs);
-    const std::vector<bson::Document> b = sorted_by_fid(
-        rhs[i]->Query(q.rect, q.t_begin_ms, q.t_end_ms).cluster.docs);
+    const std::vector<bson::Document> a =
+        sorted_by_fid(RunQuery(*lhs[i], q).cluster.docs);
+    const std::vector<bson::Document> b =
+        sorted_by_fid(RunQuery(*rhs[i], q).cluster.docs);
     if (a.size() != b.size()) {
       ctx->Report(label.c_str(), count_check.c_str(), q, a.size(), b.size());
       return false;
@@ -1230,8 +1342,13 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
 
   geo::Rect mbr;
   int64_t t0 = 0, span = 0;
-  const std::vector<FuzzDoc> docs =
+  std::vector<FuzzDoc> docs =
       GenerateDocs(&data_rng, config.docs, &mbr, &t0, &span);
+  // Odd document shapes and polygon queries draw from forks of the spent
+  // data rng, so every draw of the base workload replays unchanged.
+  Rng shape_rng = data_rng.Fork();
+  Rng polygon_rng = data_rng.Fork();
+  AssignDocShapes(&shape_rng, &docs);
 
   // Random deployment knobs, shared by all four stores so only the approach
   // differs. Small chunks force splits; a short balancer cadence forces
@@ -1336,6 +1453,16 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
     }
   }
 
+  // Oracle checks on every store, then layout and planner parity.
+  const auto check_all = [&](const FuzzQuery& q, Rng* check_rng) {
+    if (!CheckQuery(stores, docs, q, check_rng, &ctx)) return false;
+    if (!row_stores.empty() && !bucket_stores.empty() &&
+        !CheckPairParity(row_stores, bucket_stores, "layout", q, &ctx)) {
+      return false;
+    }
+    return race_stores.empty() || cost_stores.empty() ||
+           CheckPairParity(race_stores, cost_stores, "planner", q, &ctx);
+  };
   FuzzQuery last_query{};
   for (int i = 0; i < config.queries; ++i) {
     if (mid_run_zones && i == config.queries / 2) {
@@ -1347,14 +1474,13 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
     }
     const FuzzQuery q = GenerateQuery(&query_rng, mbr, t0, span);
     last_query = q;
-    if (!CheckQuery(stores, docs, q, &query_rng, &ctx)) return false;
-    if (!row_stores.empty() && !bucket_stores.empty() &&
-        !CheckPairParity(row_stores, bucket_stores, "layout", q, &ctx)) {
-      return false;
-    }
-    if (!race_stores.empty() && !cost_stores.empty() &&
-        !CheckPairParity(race_stores, cost_stores, "planner", q, &ctx)) {
-      return false;
+    if (!check_all(q, &query_rng)) return false;
+    // Some rounds add a polygon query inside the rect; all its draws come
+    // from polygon_rng, so query_rng replays unchanged.
+    if (polygon_rng.NextBool(0.3)) {
+      FuzzQuery pq = q;
+      pq.polygon = MakeFuzzPolygon(&polygon_rng, q.rect, docs);
+      if (!check_all(pq, &polygon_rng)) return false;
     }
   }
 

@@ -8,9 +8,9 @@
 //     resident — the "what you would store vs what you do store" figure
 //     MongoDB quotes for time-series collections; the block-compressed
 //     row store is also printed as the resident-vs-resident comparison.
-//   - cold full-scan rect+window query over the on-disk block image (see
-//     MeasureColdScan): both layouts decompress and parse their whole
-//     image; the bucket layout parses ~points/bucket fewer documents,
+//   - cold full-scan rect+window query over each shard's checkpoint file
+//     (see MeasureColdScan): both layouts read, CRC-check, decompress and
+//     parse their whole image; the bucket layout parses ~points/bucket fewer documents,
 //     prunes on bucket metadata before touching any column, and answers
 //     survivors columnar-first (ts/lon/lat only). Match counts must agree
 //     between layouts — a built-in differential check.

@@ -8,12 +8,13 @@
 #include <optional>
 
 #include "bson/codec.h"
-#include "common/lz.h"
+#include "common/fs.h"
 #include "common/percentile.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "query/bucket_unpack.h"
 #include "query/expression.h"
+#include "storage/checkpoint.h"
 
 namespace stix::bench {
 
@@ -337,28 +338,6 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   const int64_t t0 = info.t_begin_ms + span_ms / 2;
   const int64_t t1 = info.t_begin_ms + span_ms * 3 / 4;
 
-  // Untimed: lay the collection out as its on-disk image — the exact 32 KB
-  // LZ blocks CollectionStats::compressed_bytes accounts (Collection's
-  // kBlockSize), in record order, across all shards.
-  constexpr size_t kBlockSize = 32 * 1024;
-  std::vector<std::string> blocks;
-  std::string block;
-  block.reserve(kBlockSize * 2);
-  for (const auto& shard : store.cluster().shards()) {
-    shard->collection().records().ForEach(
-        [&](storage::RecordId, const bson::Document& doc) {
-          block += bson::EncodeBson(doc);
-          if (block.size() >= kBlockSize) {
-            blocks.push_back(LzCompress(block));
-            block.clear();
-          }
-        });
-    if (!block.empty()) {
-      blocks.push_back(LzCompress(block));
-      block.clear();
-    }
-  }
-
   std::vector<query::ExprPtr> conjuncts;
   conjuncts.push_back(query::MakeCmp("date", query::CmpOp::kGte,
                                      bson::Value::DateTime(t0)));
@@ -371,6 +350,24 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
     fprintf(stderr, "cold scan: %s: %s\n", what, s.ToString().c_str());
     exit(1);
   };
+
+  // Untimed: write every shard's collection to disk as a real checkpoint
+  // image (256 KB LZ blocks, CRC32 frames) — the files recovery reads.
+  const Result<std::string> dir = MakeTempDir("stix_cold_scan");
+  if (!dir.ok()) die("temp dir", dir.status());
+  std::vector<std::string> images;
+  for (const auto& shard : store.cluster().shards()) {
+    const std::string shard_dir =
+        *dir + "/shard-" + std::to_string(shard->id());
+    if (Status s = CreateDirs(shard_dir); !s.ok()) die("mkdir", s);
+    if (Status s = storage::WriteCheckpoint(shard->collection(), {}, 0,
+                                            shard_dir);
+        !s.ok()) {
+      die("checkpoint write", s);
+    }
+    images.push_back(storage::CheckpointPath(shard_dir, 0));
+  }
+
   const bool bucketed = store.bucketed();
   storage::BucketLayout layout;
   query::BucketPruneSpec spec;
@@ -384,84 +381,75 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
     }
   }
 
-  // Timed: decompress every block, parse every stored document, answer the
-  // query. The bucket path checks the pruning metadata before touching the
-  // columns, counts covered buckets straight off the metadata, and answers
-  // the survivors columnar-first (ts/lon/lat first; ids and payload
-  // residuals are decoded only for buckets with matches, and only matching
-  // points are built), falling back to a full decode + filter only for
-  // buckets without a location column. The row path has no such
-  // shortcut: a BSON document must be parsed before it can be matched.
-  // Min of three repetitions: each repetition redoes every decompress,
-  // parse and filter (the store state stays cold — nothing is cached
-  // between passes), so the minimum strips allocator and branch-predictor
+  // Timed: open every image, read and CRC-check every block, decompress
+  // it, parse every stored document and answer the query. The files come
+  // from the OS page cache (nothing drops it), so "cold" means no
+  // in-process state, not a disk seek. The bucket path checks the pruning
+  // metadata before touching the columns, counts covered buckets straight
+  // off the metadata, and answers the survivors columnar-first (ts/lon/lat
+  // first; ids and payload residuals are decoded only for buckets with
+  // matches, and only matching points are built), falling back to a full
+  // decode + filter only for buckets without a location column. The row
+  // path has no such shortcut: a BSON document must be parsed before it
+  // can be matched. Min of three repetitions: each repetition redoes every
+  // read, decompress, parse and filter (nothing is cached between passes
+  // in-process), so the minimum strips allocator and branch-predictor
   // warm-up without warming the thing being measured.
   uint64_t scanned_points = 0;
   uint64_t matches = 0;
-  const auto scan_image = [&] {
-    scanned_points = 0;
-    matches = 0;
-    for (const std::string& compressed : blocks) {
-      const Result<std::string> raw = LzDecompress(compressed);
-      if (!raw.ok()) die("block decompress", raw.status());
-      const std::string_view bytes = *raw;
-      size_t off = 0;
-      while (off + 4 <= bytes.size()) {
-        // BSON's length prefix counts itself; each document is one slice.
-        const unsigned char* p =
-            reinterpret_cast<const unsigned char*>(bytes.data() + off);
-        const size_t len = static_cast<size_t>(p[0]) | (size_t{p[1]} << 8) |
-                           (size_t{p[2]} << 16) | (size_t{p[3]} << 24);
-        if (len < 5 || off + len > bytes.size()) {
-          die("block framing", Status::Corruption("bad BSON length"));
-        }
-        const Result<bson::Document> doc =
-            bson::DecodeBson(bytes.substr(off, len));
-        if (!doc.ok()) die("document parse", doc.status());
-        off += len;
-        if (!bucketed) {
-          ++scanned_points;
-          if (expr->Matches(*doc)) ++matches;
-          continue;
-        }
-        const Result<storage::BucketMeta> meta =
-            storage::ParseBucketMeta(*doc);
-        if (!meta.ok()) die("bucket meta", meta.status());
-        scanned_points += meta->num_points;
-        if (!spec.MayContain(*meta)) continue;
-        if (spec.Covers(*meta)) {
-          // Every point in a covered bucket matches; the count comes off
-          // the metadata with no column access at all.
-          matches += meta->num_points;
-          continue;
-        }
-        // Columnar-first through the decoder queries use: the date range
-        // and rect are tested on the ts/lon/lat columns and only matching
-        // points are built, so the _id column and payload residuals of a
-        // bucket without matches never get decoded. Buckets without a
-        // location column (some point had a non-canonical location) come
-        // back whole and are filtered point by point.
-        bool selected = false;
-        const Result<std::vector<bson::Document>> points =
-            storage::DecodeBucket(*doc, layout, &*selection, &selected);
-        if (!points.ok()) die("bucket decode", points.status());
-        if (selected) {
-          matches += points->size();
-          continue;
-        }
-        for (const bson::Document& point : *points) {
-          if (expr->Matches(point)) ++matches;
-        }
-      }
+  const auto scan_document = [&](storage::RecordId,
+                                 std::string_view bson_bytes) -> Status {
+    const Result<bson::Document> doc = bson::DecodeBson(bson_bytes);
+    if (!doc.ok()) return doc.status();
+    if (!bucketed) {
+      ++scanned_points;
+      if (expr->Matches(*doc)) ++matches;
+      return Status::OK();
     }
+    const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
+    if (!meta.ok()) return meta.status();
+    scanned_points += meta->num_points;
+    if (!spec.MayContain(*meta)) return Status::OK();
+    if (spec.Covers(*meta)) {
+      // Every point in a covered bucket matches; the count comes off the
+      // metadata with no column access at all.
+      matches += meta->num_points;
+      return Status::OK();
+    }
+    // Columnar-first through the decoder queries use: the date range and
+    // rect are tested on the ts/lon/lat columns and only matching points
+    // are built, so the _id column and payload residuals of a bucket
+    // without matches never get decoded. Buckets without a location column
+    // (some point had a non-canonical location) come back whole and are
+    // filtered point by point.
+    bool selected = false;
+    const Result<std::vector<bson::Document>> points =
+        storage::DecodeBucket(*doc, layout, &*selection, &selected);
+    if (!points.ok()) return points.status();
+    if (selected) {
+      matches += points->size();
+      return Status::OK();
+    }
+    for (const bson::Document& point : *points) {
+      if (expr->Matches(point)) ++matches;
+    }
+    return Status::OK();
   };
   double best_millis = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
+    scanned_points = 0;
+    matches = 0;
     Stopwatch cold;
-    scan_image();
+    for (const std::string& image : images) {
+      if (Status s = storage::ScanCheckpointDocuments(image, scan_document);
+          !s.ok()) {
+        die("checkpoint scan", s);
+      }
+    }
     const double rep_millis = cold.ElapsedMillis();
     if (rep == 0 || rep_millis < best_millis) best_millis = rep_millis;
   }
+  (void)RemoveAll(*dir);
   row->cold_scan_millis = best_millis;
   row->cold_scan_matches = matches;
   const double secs = row->cold_scan_millis / 1000.0;

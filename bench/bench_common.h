@@ -153,18 +153,19 @@ bool WritePerfJson(const std::string& path, const std::string& bench_name,
 /// a real request experienced. 0 for empty input.
 double Percentile(std::vector<double> values, double p);
 
-/// Measures a genuinely cold full scan: the store's on-disk image (the same
-/// 32 KB LZ-compressed BSON blocks CollectionStats accounts, built untimed)
-/// is scanned end to end to answer one rect + time-window query — every
-/// block decompressed, every stored document parsed, the filter applied.
-/// That is the work a document store does when nothing is in cache and no
-/// index is usable, and it is where the layouts diverge: the row image
-/// parses one BSON document per point, the bucket image parses one per
-/// bucket, prunes on bucket metadata, counts covered buckets off the
-/// metadata alone and answers the surviving buckets through the selective
-/// DecodeBucket the query path uses (the ts/lon/lat columns are tested
-/// first; the _id column and payload residuals are decoded only for
-/// buckets with matches). Fills the scan columns of `row`: wall millis,
+/// Measures a cold full scan: every shard's collection is written (untimed)
+/// as a real checkpoint file, and the timed part opens those files and
+/// scans them end to end through storage::ScanCheckpointDocuments to answer
+/// one rect + time-window query — every 256 KB block read from the OS page
+/// cache, CRC-checked and decompressed, every stored document parsed, the
+/// filter applied. That is the work a document store does when nothing is
+/// in its own cache and no index is usable, and it is where the layouts
+/// diverge: the row image parses one BSON document per point, the bucket
+/// image parses one per bucket, prunes on bucket metadata, counts covered
+/// buckets off the metadata alone and answers the surviving buckets through
+/// the selective DecodeBucket the query path uses (the ts/lon/lat columns
+/// are tested first; the _id column and payload residuals are decoded only
+/// for buckets with matches). Fills the scan columns of `row`: wall millis,
 /// points/second scanned (total points represented, not documents parsed)
 /// and the match count (which must agree across layouts — bench_bucket
 /// checks).

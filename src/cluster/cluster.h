@@ -175,7 +175,7 @@ class Cluster {
   /// True when the cluster writes through WALs (durability.data_dir set).
   bool durable() const { return config_wal_ != nullptr; }
 
-  /// Snapshot-restore path: installs a previously saved sharding state
+  /// Recovery path: installs a previously journaled sharding state
   /// (pattern, chunk table, zones) and creates the mandatory and given
   /// secondary indexes on every shard. The cluster must be fresh. The chunk
   /// table must satisfy ChunkManager invariants.
@@ -184,21 +184,14 @@ class Cluster {
       std::vector<ZoneRange> zones,
       const std::vector<index::IndexDescriptor>& secondary_indexes);
 
-  /// Snapshot-restore path: inserts directly into a shard, bypassing
-  /// routing and split/balance logic (placement comes from the restored
-  /// chunk table).
-  Status RestoreDocumentToShard(int shard_id, bson::Document doc);
-
   /// Scatter/gather query through the router (open + drain of a cursor).
   ClusterQueryResult Query(const query::ExprPtr& expr) const;
 
   /// Opens a streaming cursor through the router: batched getMore rounds,
   /// optional limit pushdown (see CursorOptions). The cursor borrows the
-  /// cluster's shards and pool. Under the default yield policy it may be
-  /// consumed while inserts and balancer rounds run concurrently (it holds
-  /// the migration-commit latch shared until closed); under
-  /// YieldPolicy::kAbortOnMutation the legacy rule applies — consume it
-  /// before mutating the cluster.
+  /// cluster's shards and pool. It may be consumed while inserts and
+  /// balancer rounds run concurrently (it holds the migration-commit latch
+  /// shared until closed).
   std::unique_ptr<ClusterCursor> OpenCursor(
       const query::ExprPtr& expr,
       const CursorOptions& cursor_options = {}) const;
@@ -319,7 +312,10 @@ class Cluster {
   /// First-time durable setup: creates the data directory, attaches a fresh
   /// WAL to every shard and opens the config journal. No-op when
   /// durability is off or already attached (the recovery path attaches its
-  /// own WALs with history intact).
+  /// own WALs with history intact). AlreadyExists when the directory
+  /// already holds a config journal: a fresh store there would leave the old
+  /// checkpoints behind for the next recovery to pick up. Existing files
+  /// are never deleted — reopen them with RecoverCluster.
   Status AttachDurability();
   /// Journals the full current metadata document to the config WAL (no-op
   /// when not durable). Callers hold topology_mu_ exclusive or are in
@@ -431,11 +427,20 @@ class Cluster {
   mutable std::vector<std::atomic<uint64_t>> reads_per_shard_;
 };
 
+/// Encodes a cluster's sharding metadata (shard count, key pattern, chunk
+/// table, zones, secondary index declarations) as one BSON document — the
+/// payload of the config journal's kConfigMeta records. Defined in
+/// durability.cc, which owns the data directory layout.
+bson::Document ClusterMetadataDoc(const Cluster& cluster);
+
 /// Rebuilds a durable cluster from options.durability.data_dir: parses the
 /// last journaled metadata record, restores the sharding state, recovers
 /// every shard (checkpoint + WAL replay), sweeps orphans left by a crashed
 /// migration (documents whose owning chunk maps to another shard), and
-/// reopens every WAL for new writes. Defined in durability.cc.
+/// reopens every WAL for new writes. NotFound when the directory holds no
+/// config journal. This is also how a saved cluster is reopened: a
+/// checkpointed data directory is the one persistence format. Defined in
+/// durability.cc.
 Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options);
 
 /// The "planner" section of ServerStatus() — plan-selection counters

@@ -217,13 +217,27 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
   dir_ = dir;
   checkpoint_wal_bytes_ = checkpoint_wal_bytes;
 
-  // Newest intact checkpoint wins; a damaged one falls back to the next
-  // older (its WAL coverage is still complete — the log is only truncated
-  // after a successful rename).
+  const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
+  if (!scan.ok()) return scan.status();
+
+  // Newest intact checkpoint wins. The WAL is truncated at every successful
+  // checkpoint, so it normally holds only what follows the newest image:
+  // falling back past a damaged image to an older one (or to none, LSN 0)
+  // is sound only when the log's first committed record directly follows
+  // that older image's LSN. Otherwise the writes between the two are gone
+  // and recovery must refuse rather than come back short.
+  const uint64_t wal_first_lsn = scan->committed.empty()
+                                     ? UINT64_MAX
+                                     : scan->committed.front().lsn;
+  Status damaged;
   uint64_t ckpt_lsn = 0;
   for (const storage::CheckpointRef& ref : storage::ListCheckpoints(dir)) {
+    if (!damaged.ok() && wal_first_lsn > ref.lsn + 1) break;
     Result<storage::CheckpointImage> image = storage::LoadCheckpoint(ref.path);
-    if (!image.ok()) continue;
+    if (!image.ok()) {
+      damaged = image.status();
+      continue;
+    }
     collection_ = std::move(image->collection);
     for (storage::CheckpointIndexImage& idx : image->indexes) {
       index::Index* index = catalog_.Get(idx.name);
@@ -237,10 +251,13 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
     ckpt_lsn = image->lsn;
     break;
   }
+  if (!damaged.ok() && wal_first_lsn > ckpt_lsn + 1) {
+    return Status::Corruption("damaged checkpoint in " + dir +
+                              " and the WAL does not reach back to an "
+                              "older image: " + damaged.ToString());
+  }
   ckpt_lsn_ = ckpt_lsn;
 
-  const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
-  if (!scan.ok()) return scan.status();
   for (const storage::WalRecord& record : scan->committed) {
     if (record.lsn <= ckpt_lsn) continue;  // already inside the checkpoint
     switch (record.type) {
@@ -363,7 +380,6 @@ std::unique_ptr<ShardCursor> Shard::OpenCursor(
 ShardCursor::ShardCursor(const Shard& shard, query::ExprPtr expr,
                          const query::ExecutorOptions& options, uint64_t limit)
     : shard_(shard),
-      options_(options),
       exec_(shard.collection().records(), shard.catalog(), std::move(expr),
             options, &shard.plan_cache_, limit) {
   STIX_METRIC_GAUGE(open_cursors, "cluster.open_cursors");
@@ -421,19 +437,17 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
     batch.error = std::move(s);
     return batch;
   }
-  const bool yield =
-      options_.yield_policy == query::YieldPolicy::kYieldAndRestore;
   const std::shared_lock<std::shared_mutex> lock =
       LockShared(shard_.data_mutex());
   shard_.MaybeRebuildStats();
-  const storage::RecordStore& records = shard_.collection().records();
-  if (yield) exec_.RestoreState();
+  exec_.RestoreState();
   Stopwatch timer;
+  std::vector<const bson::Document*> found;
   storage::RecordId rid;
   const bson::Document* doc;
-  while (!done_ && (batch_size == 0 || batch.docs.size() < batch_size)) {
+  while (!done_ && (batch_size == 0 || found.size() < batch_size)) {
     if (exec_.Next(&rid, &doc)) {
-      batch.docs.push_back(doc);
+      found.push_back(doc);
       batch.rids.push_back(rid);
     } else {
       done_ = true;
@@ -441,38 +455,28 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   }
   exec_millis_ += timer.ElapsedMillis();
   batch.exhausted = done_;
+  // Detach before the lock drops: the executor collapses to KeyString
+  // positions and the batch takes ownership of its documents, so writers
+  // and migrations may run freely until the next GetMore.
+  exec_.SaveState();
   if (Status s = exec_.status(); !s.ok()) {
     // The plan failed mid-stream (a stored bucket did not decode): the
     // stream is incomplete, so the batch carries the error, not results.
-    if (yield) exec_.SaveState();
-    batch.docs.clear();
     batch.rids.clear();
     batch.error = std::move(s);
     return batch;
   }
-  if (yield) {
-    // Detach before the lock drops: the executor collapses to KeyString
-    // positions and the batch takes ownership of its documents, so writers
-    // and migrations may run freely until the next GetMore.
-    exec_.SaveState();
-    const bool transient = exec_.winner_transient();
-    batch.owned.reserve(batch.docs.size());
-    for (const bson::Document* d : batch.docs) {
-      if (transient) {
-        // Unpacked points are arena-owned and emitted exactly once; moving
-        // them out skips a deep copy per point (record-store borrows below
-        // must still be copied — their memory is not ours to gut).
-        batch.owned.push_back(std::move(*const_cast<bson::Document*>(d)));
-      } else {
-        batch.owned.push_back(*d);
-      }
+  const bool transient = exec_.winner_transient();
+  batch.docs.reserve(found.size());
+  for (const bson::Document* d : found) {
+    if (transient) {
+      // Unpacked points are arena-owned and emitted exactly once; moving
+      // them out skips a deep copy per point (record-store documents must
+      // still be copied — their memory is not ours to gut).
+      batch.docs.push_back(std::move(*const_cast<bson::Document*>(d)));
+    } else {
+      batch.docs.push_back(*d);
     }
-    for (size_t i = 0; i < batch.docs.size(); ++i) {
-      batch.docs[i] = &batch.owned[i];
-    }
-  } else {
-    batch.borrow_source = &records;
-    batch.borrow_generation = records.generation();
   }
   return batch;
 }

@@ -152,6 +152,65 @@ Result<std::string> ReadBlocks(std::istream* in) {
   }
 }
 
+struct CheckpointHeader {
+  uint64_t lsn = 0;
+  RecordId max_record_id = 0;
+  uint64_t num_docs = 0;
+};
+
+/// Opens `path` and checks its header, leaving `in` at the document blocks.
+Result<CheckpointHeader> OpenCheckpoint(const std::string& path,
+                                        std::ifstream* in) {
+  in->open(path, std::ios::binary);
+  if (!in->is_open()) {
+    return Status::NotFound("cannot open checkpoint file: " + path);
+  }
+  char magic[8];
+  if (!in->read(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Corruption("not a STIX checkpoint: " + path);
+  }
+  uint32_t version;
+  if (!GetU32(in, &version) || version != kVersion) {
+    return Status::Corruption("unsupported checkpoint version");
+  }
+  CheckpointHeader header;
+  if (!GetU64(in, &header.lsn) || !GetU64(in, &header.max_record_id) ||
+      !GetU64(in, &header.num_docs)) {
+    return Status::Corruption("checkpoint: truncated header");
+  }
+  return header;
+}
+
+/// Reads the document blocks at `in` and hands every (rid, BSON) entry to
+/// `fn`; Corruption when the entries do not add up to `num_docs`.
+Status WalkDocuments(std::istream* in, uint64_t num_docs,
+                     const CheckpointDocFn& fn) {
+  Result<std::string> doc_stream = ReadBlocks(in);
+  if (!doc_stream.ok()) return doc_stream.status();
+  const std::string_view bytes = *doc_stream;
+  size_t offset = 0;
+  uint64_t walked = 0;
+  while (offset < bytes.size()) {
+    if (offset + 12 > bytes.size()) {
+      return Status::Corruption("checkpoint: truncated document entry");
+    }
+    const uint64_t rid = GetU64Mem(bytes.data() + offset);
+    const uint32_t len = GetU32Mem(bytes.data() + offset + 8);
+    offset += 12;
+    if (offset + len > bytes.size()) {
+      return Status::Corruption("checkpoint: truncated document body");
+    }
+    if (Status s = fn(rid, bytes.substr(offset, len)); !s.ok()) return s;
+    offset += len;
+    ++walked;
+  }
+  if (walked != num_docs) {
+    return Status::Corruption("checkpoint: document count mismatch");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // Armed by recovery tests/fuzzing with an error action; each fired flush
@@ -250,53 +309,31 @@ Status WriteCheckpoint(const Collection& collection,
   return Status::OK();
 }
 
-Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound("cannot open checkpoint file: " + path);
-  }
-  char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("not a STIX checkpoint: " + path);
-  }
-  uint32_t version;
-  if (!GetU32(&in, &version) || version != kVersion) {
-    return Status::Corruption("unsupported checkpoint version");
-  }
-  CheckpointImage image;
-  uint64_t num_docs;
-  if (!GetU64(&in, &image.lsn) || !GetU64(&in, &image.max_record_id) ||
-      !GetU64(&in, &num_docs)) {
-    return Status::Corruption("checkpoint: truncated header");
-  }
+Status ScanCheckpointDocuments(const std::string& path,
+                               const CheckpointDocFn& fn) {
+  std::ifstream in;
+  const Result<CheckpointHeader> header = OpenCheckpoint(path, &in);
+  if (!header.ok()) return header.status();
+  return WalkDocuments(&in, header->num_docs, fn);
+}
 
-  Result<std::string> doc_stream = ReadBlocks(&in);
-  if (!doc_stream.ok()) return doc_stream.status();
-  size_t offset = 0;
-  uint64_t restored = 0;
-  while (offset < doc_stream->size()) {
-    if (offset + 12 > doc_stream->size()) {
-      return Status::Corruption("checkpoint: truncated document entry");
-    }
-    const uint64_t rid = GetU64Mem(doc_stream->data() + offset);
-    const uint32_t len = GetU32Mem(doc_stream->data() + offset + 8);
-    offset += 12;
-    if (offset + len > doc_stream->size()) {
-      return Status::Corruption("checkpoint: truncated document body");
-    }
-    Result<bson::Document> doc =
-        bson::DecodeBson(std::string_view(doc_stream->data() + offset, len));
-    if (!doc.ok()) return doc.status();
-    offset += len;
-    if (Status s = image.collection.records().RestoreAt(rid, std::move(*doc));
-        !s.ok()) {
-      return s;
-    }
-    ++restored;
-  }
-  if (restored != num_docs) {
-    return Status::Corruption("checkpoint: document count mismatch");
+Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
+  std::ifstream in;
+  const Result<CheckpointHeader> header = OpenCheckpoint(path, &in);
+  if (!header.ok()) return header.status();
+  CheckpointImage image;
+  image.lsn = header->lsn;
+  image.max_record_id = header->max_record_id;
+  if (Status s = WalkDocuments(
+          &in, header->num_docs,
+          [&](RecordId rid, std::string_view bson_bytes) {
+            Result<bson::Document> doc = bson::DecodeBson(bson_bytes);
+            if (!doc.ok()) return doc.status();
+            return image.collection.records().RestoreAt(rid,
+                                                        std::move(*doc));
+          });
+      !s.ok()) {
+    return s;
   }
   image.collection.records().PadToRecordId(image.max_record_id);
 

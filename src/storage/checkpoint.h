@@ -2,7 +2,9 @@
 #define STIX_STORAGE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,8 +48,8 @@ struct CheckpointImage {
 /// Format (little-endian): magic "STIXCKP1" | u32 version | u64 lsn |
 /// u64 max_record_id | u64 num_docs | doc blocks | u32 num_indexes |
 /// per index: u32 name_len, name, u8 multikey, u64 num_entries,
-/// entry blocks. Blocks reuse the snapshot's LZ'd block-image shape with a
-/// CRC32 frame: u32 raw_len | u32 comp_len | u32 crc32(comp) | comp bytes,
+/// entry blocks. Blocks are LZ'd images of ~256 KB of entries in a CRC32
+/// frame: u32 raw_len | u32 comp_len | u32 crc32(comp) | comp bytes,
 /// raw_len == 0 terminating the stream. Doc blocks decompress to repeated
 /// (u64 rid | u32 len | BSON); entry blocks to repeated
 /// (u32 key_len | key | u64 rid).
@@ -56,8 +58,20 @@ Status WriteCheckpoint(const Collection& collection,
                        const std::string& dir);
 
 /// Decodes a checkpoint file; Corruption on any checksum/length/count
-/// violation (recovery then falls back to the next older checkpoint).
+/// violation (see Shard::Recover for when recovery may then fall back to
+/// an older checkpoint).
 Result<CheckpointImage> LoadCheckpoint(const std::string& path);
+
+/// Receives one stored document of a checkpoint: its RecordId and its BSON
+/// bytes (valid only for the call). A non-OK return stops the walk.
+using CheckpointDocFn = std::function<Status(RecordId, std::string_view)>;
+
+/// Walks the documents of the checkpoint at `path` in record order without
+/// building a collection: checks the header, reads and CRC-checks every
+/// document block, and hands each entry to `fn`. LoadCheckpoint reads its
+/// documents through the same walk.
+Status ScanCheckpointDocuments(const std::string& path,
+                               const CheckpointDocFn& fn);
 
 /// A checkpoint file recovery may try.
 struct CheckpointRef {

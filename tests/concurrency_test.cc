@@ -149,7 +149,7 @@ TEST_F(ConcurrencyTest, ShardGetMoreAndInsertInterleaveSafely) {
   }
 
   // Writer splits btree leaves beyond the scan bounds while the main thread
-  // streams in small batches under the default yield policy. The scan's
+  // streams in small batches (the cursor yields between them). The scan's
   // bounds exclude every inserted key, so the drain is exactly the 501
   // pre-existing matches.
   const query::ExprPtr q = query::MakeRange("date", Value::DateTime(0),
@@ -175,8 +175,8 @@ TEST_F(ConcurrencyTest, ShardGetMoreAndInsertInterleaveSafely) {
   while (!cursor->exhausted()) {
     const ShardCursor::Batch batch = cursor->GetMore(/*batch_size=*/9);
     ASSERT_TRUE(batch.error.ok());
-    for (const bson::Document* d : batch.docs) {
-      streamed.insert(d->Get("_id")->AsInt64());
+    for (const bson::Document& d : batch.docs) {
+      streamed.insert(d.Get("_id")->AsInt64());
       ++total;
     }
   }

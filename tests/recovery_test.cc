@@ -12,6 +12,7 @@
 // recover-then-{balance,migrate} interleavings ride on the same fixture.
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/fs.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "st/st_store.h"
@@ -367,6 +369,63 @@ TEST_F(RecoveryScenarioTest, RecoverThenMigrateViaZones) {
   const StQueryResult res2 =
       (*again)->Query(kEverywhere, 0, 30000LL * 1000000);
   EXPECT_EQ(res2.cluster.docs.size(), 120u);
+}
+
+// Regression: a fresh durable Setup() over a directory that already held a
+// store used to open fresh WALs next to the old checkpoint images, and the
+// old images (higher LSNs than the new store's) won the next recovery — it
+// brought back the old store instead of the new one. A fresh attach now
+// refuses the directory and leaves the old store's files alone.
+TEST_F(RecoveryScenarioTest, FreshSetupRefusesAnExistingDataDir) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  {
+    StStore first(options);
+    ASSERT_TRUE(first.Setup().ok());
+    for (int64_t id = 0; id < 100; ++id) {
+      ASSERT_TRUE(first.Insert(ScenarioDoc(id, 1.0 + (id % 9), 5.0)).ok());
+    }
+    ASSERT_TRUE(first.Checkpoint().ok());
+  }
+  {
+    StStore second(options);
+    EXPECT_EQ(second.Setup().code(), StatusCode::kAlreadyExists);
+    EXPECT_FALSE(second.durable());
+  }
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(
+      (*recovered)->Query(kEverywhere, 0, 30000LL * 1000000).cluster.docs.size(),
+      100u);
+}
+
+// The other side of the checkpoint fallback rule: a crash between the
+// checkpoint rename and the WAL truncation leaves a log that still reaches
+// back to LSN 1, so a damaged image may fall back to a full replay.
+TEST_F(RecoveryScenarioTest, DamagedCheckpointFallsBackWhenTheWalReachesBack) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  const std::string shard_dir = dir_.path() + "/shard-0";
+  const std::string untruncated = dir_.path() + "/shard-0-wal.copy";
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    for (int64_t id = 0; id < 60; ++id) {
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, 1.0 + (id % 9), 5.0)).ok());
+    }
+    std::filesystem::copy_file(shard_dir + "/wal.log", untruncated);
+    ASSERT_TRUE(store.Checkpoint().ok());
+  }
+  std::filesystem::copy_file(untruncated, shard_dir + "/wal.log",
+                             std::filesystem::copy_options::overwrite_existing);
+  const std::vector<storage::CheckpointRef> refs =
+      storage::ListCheckpoints(shard_dir);
+  ASSERT_EQ(refs.size(), 1u);
+  ASSERT_TRUE(ResizeFile(refs.front().path, 40).ok());
+
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(
+      (*recovered)->Query(kEverywhere, 0, 30000LL * 1000000).cluster.docs.size(),
+      60u);
 }
 
 // Regression: WAL LSNs must stay monotonic *across* recoveries. A shard's

@@ -1,9 +1,18 @@
+// A saved cluster is a checkpointed data directory: Cluster::Checkpoint()
+// persists every shard's collection and index images plus the compacted
+// config journal, and RecoverCluster() reopens the directory. These tests
+// hold that round trip to exact topology, placement, zones, index images
+// and query parity, and check that a damaged image fails the restore
+// instead of silently coming back short.
+
 #include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
-#include "cluster/snapshot.h"
+#include "cluster/cluster.h"
 #include "common/rng.h"
+#include "storage/checkpoint.h"
 #include "temp_dir.h"
 
 namespace stix::cluster {
@@ -15,14 +24,13 @@ class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // dir_ is unique per test case: ctest -j runs cases as concurrent
-    // processes, and a shared file races the corruption tests against the
-    // load tests.
-    path_ = dir_ / "cluster.snap";
-    ClusterOptions options;
-    options.num_shards = 3;
-    options.chunk_max_bytes = 8 * 1024;
-    options.seed = 21;
-    source_ = std::make_unique<Cluster>(options);
+    // processes, and a shared directory races the corruption tests against
+    // the round-trip tests.
+    options_.num_shards = 3;
+    options_.chunk_max_bytes = 8 * 1024;
+    options_.seed = 21;
+    options_.durability.data_dir = dir_.path();
+    source_ = std::make_unique<Cluster>(options_);
     ASSERT_TRUE(source_
                     ->ShardCollection(ShardKeyPattern(
                         {"hilbertIndex", "date"}, ShardingStrategy::kRange))
@@ -33,31 +41,47 @@ class SnapshotTest : public ::testing::Test {
                         {{"location", index::IndexFieldKind::k2dsphere},
                          {"date", index::IndexFieldKind::kAscending}}))
                     .ok());
-    Rng rng(5);
     for (int i = 0; i < 1200; ++i) {
-      bson::Document doc;
-      doc.Append("_id", Value::Int64(i));
-      doc.Append("location",
-                 Value::MakeDocument(bson::GeoJsonPoint(
-                     rng.NextDouble(0, 10), rng.NextDouble(0, 10))));
-      doc.Append("date", Value::DateTime(60000LL * i));
-      doc.Append("hilbertIndex", Value::Int64(rng.NextInt(0, 50)));
-      doc.Append("pad", Value::String(std::string(64, 'x')));
-      ASSERT_TRUE(source_->Insert(std::move(doc)).ok());
+      ASSERT_TRUE(source_->Insert(MakeDoc(i)).ok());
     }
     source_->Balance();
     ASSERT_TRUE(source_->SetZonesByBucketAuto("hilbertIndex").ok());
   }
 
+  bson::Document MakeDoc(int64_t id) {
+    bson::Document doc;
+    doc.Append("_id", Value::Int64(id));
+    doc.Append("location", Value::MakeDocument(bson::GeoJsonPoint(
+                               rng_.NextDouble(0, 10), rng_.NextDouble(0, 10))));
+    doc.Append("date", Value::DateTime(60000LL * id));
+    doc.Append("hilbertIndex", Value::Int64(rng_.NextInt(0, 50)));
+    doc.Append("pad", Value::String(std::string(64, 'x')));
+    return doc;
+  }
+
+  Result<std::unique_ptr<Cluster>> Restore() const {
+    ClusterOptions options;
+    options.durability.data_dir = dir_.path();
+    return RecoverCluster(options);
+  }
+
+  /// The one checkpoint image of `shard` (Checkpoint() prunes older ones).
+  std::string ImagePath(int shard) const {
+    const std::vector<storage::CheckpointRef> refs = storage::ListCheckpoints(
+        dir_.path() + "/shard-" + std::to_string(shard));
+    EXPECT_EQ(refs.size(), 1u) << "shard " << shard;
+    return refs.empty() ? std::string() : refs.front().path;
+  }
+
   stix::testing::TempDir dir_;
-  std::string path_;
+  ClusterOptions options_;
+  Rng rng_{5};
   std::unique_ptr<Cluster> source_;
 };
 
 TEST_F(SnapshotTest, RoundTripPreservesEverything) {
-  ASSERT_TRUE(SaveSnapshot(*source_, path_).ok());
-  const Result<std::unique_ptr<Cluster>> restored =
-      LoadSnapshot(path_, ClusterOptions{});
+  ASSERT_TRUE(source_->Checkpoint().ok());
+  const Result<std::unique_ptr<Cluster>> restored = Restore();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const Cluster& r = **restored;
 
@@ -71,18 +95,30 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
     EXPECT_EQ(r.chunks().chunk(i).shard_id,
               source_->chunks().chunk(i).shard_id);
   }
-  EXPECT_EQ(r.zones().size(), source_->zones().size());
+  ASSERT_EQ(r.zones().size(), source_->zones().size());
+  for (size_t i = 0; i < r.zones().size(); ++i) {
+    EXPECT_EQ(r.zones()[i].min, source_->zones()[i].min);
+    EXPECT_EQ(r.zones()[i].max, source_->zones()[i].max);
+    EXPECT_EQ(r.zones()[i].shard_id, source_->zones()[i].shard_id);
+  }
 
-  // Exact per-shard placement.
+  // Exact per-shard placement and the index set, each index restored from
+  // its image with every entry (including the secondary geo index).
   for (int s = 0; s < r.num_shards(); ++s) {
-    EXPECT_EQ(r.shards()[s]->num_documents(),
-              source_->shards()[s]->num_documents())
-        << "shard " << s;
-    // Index sets match (including the secondary geo index).
-    EXPECT_EQ(r.shards()[s]->catalog().indexes().size(),
-              source_->shards()[s]->catalog().indexes().size());
-    EXPECT_NE(r.shards()[s]->catalog().Get("location_2dsphere_date_1"),
-              nullptr);
+    const Shard& got = *r.shards()[s];
+    const Shard& want = *source_->shards()[s];
+    EXPECT_EQ(got.num_documents(), want.num_documents()) << "shard " << s;
+    ASSERT_EQ(got.catalog().indexes().size(),
+              want.catalog().indexes().size());
+    EXPECT_NE(got.catalog().Get("location_2dsphere_date_1"), nullptr);
+    for (const auto& idx : want.catalog().indexes()) {
+      const std::string& name = idx->descriptor().name();
+      const index::Index* restored_idx = got.catalog().Get(name);
+      ASSERT_NE(restored_idx, nullptr) << name;
+      EXPECT_EQ(restored_idx->btree().num_entries(),
+                idx->btree().num_entries())
+          << "shard " << s << " index " << name;
+    }
   }
 
   // Queries agree.
@@ -97,71 +133,87 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
 }
 
 TEST_F(SnapshotTest, RestoredClusterAcceptsNewInserts) {
-  ASSERT_TRUE(SaveSnapshot(*source_, path_).ok());
-  const Result<std::unique_ptr<Cluster>> restored =
-      LoadSnapshot(path_, ClusterOptions{});
-  ASSERT_TRUE(restored.ok());
-  Cluster& r = **restored;
-  bson::Document doc;
-  doc.Append("_id", Value::Int64(999999));
-  doc.Append("location",
-             Value::MakeDocument(bson::GeoJsonPoint(5, 5)));
-  doc.Append("date", Value::DateTime(60000LL * 5000));
-  doc.Append("hilbertIndex", Value::Int64(25));
-  ASSERT_TRUE(r.Insert(std::move(doc)).ok());
-  EXPECT_EQ(r.total_documents(), source_->total_documents() + 1);
+  ASSERT_TRUE(source_->Checkpoint().ok());
+  const uint64_t saved = source_->total_documents();
+  source_.reset();
+  {
+    const Result<std::unique_ptr<Cluster>> restored = Restore();
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    Cluster& r = **restored;
+    bson::Document doc;
+    doc.Append("_id", Value::Int64(999999));
+    doc.Append("location", Value::MakeDocument(bson::GeoJsonPoint(5, 5)));
+    doc.Append("date", Value::DateTime(60000LL * 5000));
+    doc.Append("hilbertIndex", Value::Int64(25));
+    ASSERT_TRUE(r.Insert(std::move(doc)).ok());
+    EXPECT_EQ(r.total_documents(), saved + 1);
+  }
+  // The insert went through the reopened WAL, so it survives the next
+  // restore too.
+  const Result<std::unique_ptr<Cluster>> again = Restore();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->total_documents(), saved + 1);
 }
 
+// Regression: recovery used to skip a checkpoint that failed to load and
+// replay only the WAL — which was truncated at that very checkpoint — so a
+// single flipped byte restored an almost empty cluster and reported OK.
 TEST_F(SnapshotTest, DetectsCorruption) {
-  ASSERT_TRUE(SaveSnapshot(*source_, path_).ok());
-  // Flip one byte somewhere in the payload region.
-  std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(4096);
+  ASSERT_TRUE(source_->Checkpoint().ok());
+  for (int i = 1200; i < 1210; ++i) {
+    ASSERT_TRUE(source_->Insert(MakeDoc(i)).ok());
+  }
+  // Flip one byte inside shard 1's first document block.
+  const std::string path = ImagePath(1);
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   char byte;
-  f.seekg(4096);
+  f.seekg(64);
   f.read(&byte, 1);
-  f.seekp(4096);
   byte = static_cast<char>(byte ^ 0x5A);
+  f.seekp(64);
   f.write(&byte, 1);
   f.close();
-  const Result<std::unique_ptr<Cluster>> restored =
-      LoadSnapshot(path_, ClusterOptions{});
-  EXPECT_FALSE(restored.ok());
+  const Result<std::unique_ptr<Cluster>> restored = Restore();
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+      << restored.status().ToString();
 }
 
 TEST_F(SnapshotTest, RejectsWrongMagicAndMissingFile) {
+  ASSERT_TRUE(source_->Checkpoint().ok());
   {
-    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
-    f << "definitely not a snapshot";
+    std::ofstream f(ImagePath(0), std::ios::binary | std::ios::trunc);
+    f << "definitely not a checkpoint";
   }
-  EXPECT_EQ(LoadSnapshot(path_, ClusterOptions{}).status().code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(LoadSnapshot("/nonexistent.snap", ClusterOptions{})
-                .status()
-                .code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(Restore().status().code(), StatusCode::kCorruption);
+
+  ClusterOptions missing;
+  missing.durability.data_dir = dir_ / "nonexistent";
+  EXPECT_EQ(RecoverCluster(missing).status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(FileExists(missing.durability.data_dir))
+      << "a failed restore must not create the directory";
 }
 
 TEST(SnapshotHashedTest, PreservesHashedStrategy) {
   const stix::testing::TempDir dir;
-  const std::string path = dir / "hashed.snap";
   ClusterOptions options;
   options.num_shards = 2;
-  Cluster source(options);
-  ASSERT_TRUE(source
-                  .ShardCollection(ShardKeyPattern(
-                      {"date"}, ShardingStrategy::kHashed))
-                  .ok());
-  for (int i = 0; i < 50; ++i) {
-    bson::Document doc;
-    doc.Append("_id", Value::Int64(i));
-    doc.Append("date", Value::DateTime(1000LL * i));
-    ASSERT_TRUE(source.Insert(std::move(doc)).ok());
+  options.durability.data_dir = dir.path();
+  {
+    Cluster source(options);
+    ASSERT_TRUE(source
+                    .ShardCollection(ShardKeyPattern(
+                        {"date"}, ShardingStrategy::kHashed))
+                    .ok());
+    for (int i = 0; i < 50; ++i) {
+      bson::Document doc;
+      doc.Append("_id", Value::Int64(i));
+      doc.Append("date", Value::DateTime(1000LL * i));
+      ASSERT_TRUE(source.Insert(std::move(doc)).ok());
+    }
+    ASSERT_TRUE(source.Checkpoint().ok());
   }
-  ASSERT_TRUE(SaveSnapshot(source, path).ok());
-  const Result<std::unique_ptr<Cluster>> restored =
-      LoadSnapshot(path, ClusterOptions{});
-  ASSERT_TRUE(restored.ok());
+  const Result<std::unique_ptr<Cluster>> restored = RecoverCluster(options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->shard_key().strategy(), ShardingStrategy::kHashed);
   EXPECT_EQ((*restored)->total_documents(), 50u);
   // Hashed routing still works on the restored cluster: an equality query
@@ -171,17 +223,22 @@ TEST(SnapshotHashedTest, PreservesHashedStrategy) {
   EXPECT_EQ((*restored)->TargetShards(eq).size(), 1u);
 }
 
+// Regression, as DetectsCorruption: a cut-short image must fail the
+// restore, not fall back to a WAL that no longer reaches behind it.
 TEST_F(SnapshotTest, RejectsTruncatedFile) {
-  ASSERT_TRUE(SaveSnapshot(*source_, path_).ok());
-  std::ifstream in(path_, std::ios::binary);
+  ASSERT_TRUE(source_->Checkpoint().ok());
+  const std::string path = ImagePath(2);
+  std::ifstream in(path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   in.close();
   contents.resize(contents.size() * 2 / 3);
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
   out.close();
-  EXPECT_FALSE(LoadSnapshot(path_, ClusterOptions{}).ok());
+  const Result<std::unique_ptr<Cluster>> restored = Restore();
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+      << restored.status().ToString();
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
-// stix_cli — operate the store from the command line: load CSV data, save /
-// restore snapshots, run spatio-temporal queries, inspect plans and sizes.
+// stix_cli — operate the store from the command line: load CSV data into a
+// data directory, then run spatio-temporal queries, inspect plans and sizes
+// against it.
 //
 // Usage:
-//   stix_cli load   --csv=FILE [--approach=hil|hil*|bslST|bslTS]
-//                   [--shards=N] [--zones] --out=SNAPSHOT
-//   stix_cli query  --snap=SNAPSHOT --rect=lon1,lat1,lon2,lat2
+//   stix_cli load   --csv=FILE [--approach=hil|bslST|bslTS]
+//                   [--shards=N] [--zones] --out=DIR
+//   stix_cli query  --snap=DIR --rect=lon1,lat1,lon2,lat2
 //                   --from=ISO --to=ISO [--limit=N]
-//   stix_cli explain --snap=SNAPSHOT --rect=... --from=... --to=...
-//   stix_cli stats  --snap=SNAPSHOT
+//   stix_cli explain --snap=DIR --rect=... --from=... --to=...
+//   stix_cli stats  --snap=DIR
 //
-// The snapshot file preserves sharding/zones/indexes, so `query` and
-// `explain` see exactly the cluster `load` built.
+// `load` builds a durable store in DIR (which must not already hold one)
+// and checkpoints it; the other commands reopen DIR with RecoverCluster, so
+// they see exactly the sharding, zones, indexes and placement `load` built.
 
 #include <cinttypes>
 #include <cstdio>
@@ -19,7 +21,6 @@
 #include <string>
 
 #include "bson/json_writer.h"
-#include "cluster/snapshot.h"
 #include "common/strings.h"
 #include "st/approach.h"
 #include "st/st_store.h"
@@ -52,12 +53,12 @@ int Fail(const std::string& message) {
 int Usage() {
   fprintf(stderr,
           "usage: stix_cli <load|query|explain|stats> [--flags]\n"
-          "  load    --csv=FILE --out=SNAP [--approach=hil] [--shards=12] "
+          "  load    --csv=FILE --out=DIR [--approach=hil] [--shards=12] "
           "[--zones]\n"
-          "  query   --snap=SNAP --rect=lon1,lat1,lon2,lat2 --from=ISO "
+          "  query   --snap=DIR --rect=lon1,lat1,lon2,lat2 --from=ISO "
           "--to=ISO [--limit=N]\n"
-          "  explain --snap=SNAP --rect=... --from=... --to=...\n"
-          "  stats   --snap=SNAP\n");
+          "  explain --snap=DIR --rect=... --from=... --to=...\n"
+          "  stats   --snap=DIR\n");
   return 2;
 }
 
@@ -76,10 +77,11 @@ bool ParseRect(const std::string& text, stix::geo::Rect* rect) {
 stix::Result<stix::st::ApproachKind> ParseApproach(const std::string& name) {
   if (name == "hil" || name.empty()) return stix::st::ApproachKind::kHil;
   if (name == "hil*" || name == "hilstar") {
-    // hil*'s curve spans the data-set MBR, which snapshots do not record;
-    // a later `query` could not rebuild the same hilbertIndex mapping.
+    // hil*'s curve spans the data-set MBR, which the data directory does
+    // not record; a later `query` could not rebuild the same hilbertIndex
+    // mapping.
     return Status::NotSupported(
-        "hil* snapshots are not queryable from the CLI; use hil");
+        "hil* stores are not queryable from the CLI; use hil");
   }
   if (name == "bslST") return stix::st::ApproachKind::kBslST;
   if (name == "bslTS") return stix::st::ApproachKind::kBslTS;
@@ -100,6 +102,7 @@ int CmdLoad(const std::map<std::string, std::string>& flags) {
 
   stix::st::StStoreOptions options;
   options.approach.kind = *kind;
+  options.cluster.durability.data_dir = out->second;
   if (flags.count("shards")) {
     options.cluster.num_shards = atoi(flags.at("shards").c_str());
   }
@@ -115,10 +118,7 @@ int CmdLoad(const std::map<std::string, std::string>& flags) {
       return Fail(s.ToString());
     }
   }
-  if (Status s = stix::cluster::SaveSnapshot(store.cluster(), out->second);
-      !s.ok()) {
-    return Fail(s.ToString());
-  }
+  if (Status s = store.Checkpoint(); !s.ok()) return Fail(s.ToString());
   printf("loaded %" PRIu64 " documents (%s, %d shards, %zu chunks%s) -> %s\n",
          *loaded, store.approach().name(), store.cluster().num_shards(),
          store.cluster().chunks().num_chunks(),
@@ -126,9 +126,9 @@ int CmdLoad(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// Restores a cluster and rebuilds the query expression the same way the
-// approach would. The snapshot stores the shard key, from which the
-// approach kind is inferred (hilbertIndex -> Hilbert).
+// Reopens a data directory and rebuilds the query expression the same way
+// the approach would. The approach kind is inferred from the recovered
+// shard key (hilbertIndex -> Hilbert).
 struct RestoredStore {
   std::unique_ptr<stix::cluster::Cluster> cluster;
   std::unique_ptr<stix::st::Approach> approach;
@@ -140,8 +140,10 @@ stix::Result<RestoredStore> Restore(
   if (snap == flags.end()) {
     return Status::InvalidArgument("--snap is required");
   }
+  stix::cluster::ClusterOptions options;
+  options.durability.data_dir = snap->second;
   stix::Result<std::unique_ptr<stix::cluster::Cluster>> cluster =
-      stix::cluster::LoadSnapshot(snap->second, stix::cluster::ClusterOptions{});
+      stix::cluster::RecoverCluster(options);
   if (!cluster.ok()) return cluster.status();
 
   stix::st::ApproachConfig config;

@@ -369,27 +369,17 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   }
 
   const bool bucketed = store.bucketed();
-  storage::BucketLayout layout;
-  query::BucketPruneSpec spec;
-  std::optional<storage::BucketSelection> selection;
-  if (bucketed) {
-    layout = store.bucket_catalog()->layout();
-    spec = query::ExtractBucketPredicates(expr, layout);
-    selection = query::CompileBucketSelection(expr, layout);
-    if (!selection.has_value()) {
-      die("bucket selection", Status::Internal("query did not compile"));
-    }
-  }
+  std::optional<query::BucketFilter> filter;
+  if (bucketed) filter.emplace(expr, store.bucket_catalog()->layout());
 
   // Timed: open every image, read and CRC-check every block, decompress
   // it, parse every stored document and answer the query. The files come
   // from the OS page cache (nothing drops it), so "cold" means no
-  // in-process state, not a disk seek. The bucket path checks the pruning
-  // metadata before touching the columns, counts covered buckets straight
-  // off the metadata, and answers the survivors columnar-first (ts/lon/lat
-  // first; ids and payload residuals are decoded only for buckets with
-  // matches, and only matching points are built), falling back to a full
-  // decode + filter only for buckets without a location column. The row
+  // in-process state, not a disk seek. Each bucket goes through the
+  // BucketFilter queries use: pruned on its metadata, counted straight off
+  // the metadata when covered, and otherwise answered columnar-first
+  // (ts/lon/lat first; ids and payload residuals are decoded only for
+  // buckets with matches, and only matching points are built). The row
   // path has no such shortcut: a BSON document must be parsed before it
   // can be matched. Min of three repetitions: each repetition redoes every
   // read, decompress, parse and filter (nothing is cached between passes
@@ -409,30 +399,11 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
     const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
     if (!meta.ok()) return meta.status();
     scanned_points += meta->num_points;
-    if (!spec.MayContain(*meta)) return Status::OK();
-    if (spec.Covers(*meta)) {
-      // Every point in a covered bucket matches; the count comes off the
-      // metadata with no column access at all.
-      matches += meta->num_points;
-      return Status::OK();
-    }
-    // Columnar-first through the decoder queries use: the date range and
-    // rect are tested on the ts/lon/lat columns and only matching points
-    // are built, so the _id column and payload residuals of a bucket
-    // without matches never get decoded. Buckets without a location column
-    // (some point had a non-canonical location) come back whole and are
-    // filtered point by point.
-    bool selected = false;
-    const Result<std::vector<bson::Document>> points =
-        storage::DecodeBucket(*doc, layout, &*selection, &selected);
-    if (!points.ok()) return points.status();
-    if (selected) {
-      matches += points->size();
-      return Status::OK();
-    }
-    for (const bson::Document& point : *points) {
-      if (expr->Matches(point)) ++matches;
-    }
+    const Result<query::BucketMatch> match = filter->Apply(*doc, *meta);
+    if (!match.ok()) return match.status();
+    matches += match->outcome == query::BucketMatch::Outcome::kCovered
+                   ? meta->num_points
+                   : match->matched.size();
     return Status::OK();
   };
   double best_millis = 0.0;

@@ -161,11 +161,11 @@ double Percentile(std::vector<double> values, double p);
 /// filter applied. That is the work a document store does when nothing is
 /// in its own cache and no index is usable, and it is where the layouts
 /// diverge: the row image parses one BSON document per point, the bucket
-/// image parses one per bucket, prunes on bucket metadata, counts covered
-/// buckets off the metadata alone and answers the surviving buckets through
-/// the selective DecodeBucket the query path uses (the ts/lon/lat columns
-/// are tested first; the _id column and payload residuals are decoded only
-/// for buckets with matches). Fills the scan columns of `row`: wall millis,
+/// image parses one per bucket and decides it with the query path's
+/// query::BucketFilter: pruned on its metadata, covered buckets counted off
+/// the metadata alone, the rest answered columnar-first (the ts/lon/lat
+/// columns are tested first; the _id column and payload residuals are
+/// decoded only for buckets with matches). Fills the scan columns of `row`: wall millis,
 /// points/second scanned (total points represented, not documents parsed)
 /// and the match count (which must agree across layouts — bench_bucket
 /// checks).

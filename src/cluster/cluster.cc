@@ -11,6 +11,7 @@
 #include "common/fs.h"
 #include "common/metrics.h"
 #include "keystring/keystring.h"
+#include "query/bucket_unpack.h"
 #include "query/planner.h"
 #include "storage/bucket.h"
 
@@ -722,13 +723,16 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
 }
 
 // Deleting from a bucketed collection (topology held exclusive by Delete):
-// fetch the raw bucket documents the widened expression can reach, decode
-// each, and where any point matches, remove the whole bucket and re-insert
-// a re-encoded bucket of the survivors — MongoDB's time-series deletes do
-// the same unpack/rewrite dance. Returns the number of *points* deleted.
+// fetch the raw bucket documents the widened expression can reach and let
+// the query layer's BucketFilter decide each one. A pruned bucket is left
+// alone, a covered one is removed whole (no decode, no re-encode), and a
+// partly matching one is removed and re-inserted as a re-encoded bucket of
+// its survivors — MongoDB's time-series deletes do the same unpack/rewrite
+// dance. Returns the number of *points* deleted.
 Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                                               const query::ExprPtr& expr) {
   const storage::BucketLayout& layout = *options_.exec.bucket_layout;
+  const query::BucketFilter filter(expr, layout);
   query::ExecutorOptions raw_exec = options_.exec;
   raw_exec.raw_buckets = true;
   const query::ExprPtr bucket_expr = Router::RoutingExpr(expr, options_.exec);
@@ -740,7 +744,7 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
     const query::ExecutionResult r = shard.RunQuery(bucket_expr, raw_exec);
     r.CheckBorrows();
 
-    // Decode and partition every affected bucket before the first Remove
+    // Decide and partition every affected bucket before the first Remove
     // invalidates the borrow window.
     struct Doomed {
       storage::RecordId rid;
@@ -760,19 +764,20 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                           doc.ApproxBsonSize(), 1, 1, {}});
         continue;
       }
-      Result<std::vector<bson::Document>> points =
-          storage::DecodeBucket(doc, layout);
-      if (!points.ok()) return points.status();
-      const uint64_t total = points->size();
-      std::vector<bson::Document> survivors;
-      for (bson::Document& p : *points) {
-        if (expr == nullptr || expr->Matches(p)) continue;
-        survivors.push_back(std::move(p));
-      }
-      if (survivors.size() == total) continue;  // nothing to delete here
+      const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(doc);
+      if (!meta.ok()) return meta.status();
+      Result<query::BucketMatch> match =
+          filter.Apply(doc, *meta, /*partition=*/true);
+      if (!match.ok()) return match.status();
+      if (match->outcome == query::BucketMatch::Outcome::kPruned) continue;
+      const uint64_t removed =
+          match->outcome == query::BucketMatch::Outcome::kCovered
+              ? meta->num_points
+              : match->matched.size();
+      if (removed == 0) continue;  // nothing to delete here
       doomed.push_back({r.rids[i], pattern_.KeyOf(doc), doc.ApproxBsonSize(),
-                        total, total - survivors.size(),
-                        std::move(survivors)});
+                        meta->num_points, removed,
+                        std::move(match->unmatched)});
     }
 
     for (Doomed& d : doomed) {

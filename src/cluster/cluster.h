@@ -324,8 +324,10 @@ class Cluster {
   /// Rewrites the config journal as one current metadata record (tmp +
   /// rename — a crash mid-compaction keeps the old journal).
   Status CompactConfigWalLocked();
-  /// Bucketed-collection delete (see Delete): unpack, filter, re-encode
-  /// survivors. Caller holds topology_mu_ exclusive.
+  /// Bucketed-collection delete (see Delete): each reachable bucket is
+  /// decided by a query::BucketFilter — pruned ones stay, covered ones go
+  /// whole, partly hit ones are re-encoded from their survivors. Caller
+  /// holds topology_mu_ exclusive.
   Result<uint64_t> DeleteBucketsLocked(const Router& router,
                                        const query::ExprPtr& expr);
   /// One background-balancer cadence: pick under the topology lock, then

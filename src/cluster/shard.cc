@@ -415,14 +415,6 @@ ShardExplain ShardCursor::Explain() const {
   return explain;
 }
 
-ShardExplain Shard::Explain(const query::ExprPtr& expr,
-                            query::ExecutorOptions options) const {
-  options.stage_timing = true;
-  const std::unique_ptr<ShardCursor> cursor = OpenCursor(expr, options);
-  while (!cursor->exhausted()) (void)cursor->GetMore(0);
-  return cursor->Explain();
-}
-
 ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   Batch batch;
   if (done_) {

@@ -161,13 +161,6 @@ class Shard {
                                           const query::ExecutorOptions& options,
                                           uint64_t limit = 0) const;
 
-  /// Executes `expr` to exhaustion with per-stage timing enabled and
-  /// returns the explain slice of that execution (mongod's explain: the
-  /// query runs once, and what ran is what is reported). Plan-cache state
-  /// advances exactly as a normal query would advance it.
-  ShardExplain Explain(const query::ExprPtr& expr,
-                       query::ExecutorOptions options) const;
-
   uint64_t num_documents() const {
     return collection_.records().num_records();
   }

@@ -121,178 +121,18 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
 
 namespace {
 
-/// Folds `expr` into `spec`. Returns true iff the node was captured
-/// losslessly — the conjunction of what went into the spec is equivalent to
-/// the node (drives BucketPruneSpec::exact; pruning side effects happen
-/// regardless).
-bool ExtractInto(const ExprPtr& expr, const storage::BucketLayout& layout,
-                 BucketPruneSpec* spec) {
-  if (expr == nullptr) return false;
-  switch (expr->kind()) {
-    case MatchExpr::Kind::kAnd: {
-      const auto& and_expr = static_cast<const AndExpr&>(*expr);
-      bool exact = true;
-      for (const ExprPtr& child : and_expr.children()) {
-        exact = ExtractInto(child, layout, spec) && exact;
-      }
-      return exact;
-    }
-    case MatchExpr::Kind::kCmp: {
-      const auto& cmp = static_cast<const CmpExpr&>(*expr);
-      if (cmp.path() != layout.time_field ||
-          cmp.value().type() != bson::Type::kDateTime) {
-        return false;
-      }
-      const int64_t v = cmp.value().AsDateTime();
-      switch (cmp.op()) {
-        case CmpOp::kGte:
-          spec->min_ts = std::max(spec->min_ts.value_or(v), v);
-          break;
-        case CmpOp::kGt:
-          spec->min_ts = std::max(spec->min_ts.value_or(v + 1), v + 1);
-          break;
-        case CmpOp::kLte:
-          spec->max_ts = std::min(spec->max_ts.value_or(v), v);
-          break;
-        case CmpOp::kLt:
-          spec->max_ts = std::min(spec->max_ts.value_or(v - 1), v - 1);
-          break;
-        case CmpOp::kEq:
-          spec->min_ts = std::max(spec->min_ts.value_or(v), v);
-          spec->max_ts = std::min(spec->max_ts.value_or(v), v);
-          break;
-      }
-      return true;
-    }
-    case MatchExpr::Kind::kGeoWithinBox:
-    case MatchExpr::Kind::kGeoIntersectsBox:
-    case MatchExpr::Kind::kGeoWithinPolygon: {
-      geo::Rect box;
-      std::string path;
-      // A polygon contributes only its bounding box: sound for pruning,
-      // lossy for exactness.
-      bool lossless = true;
-      if (expr->kind() == MatchExpr::Kind::kGeoWithinBox) {
-        const auto& g = static_cast<const GeoWithinBoxExpr&>(*expr);
-        box = g.box();
-        path = g.path();
-      } else if (expr->kind() == MatchExpr::Kind::kGeoIntersectsBox) {
-        const auto& g = static_cast<const GeoIntersectsBoxExpr&>(*expr);
-        box = g.box();
-        path = g.path();
-      } else {
-        const auto& g = static_cast<const GeoWithinPolygonExpr&>(*expr);
-        box = g.region().BoundingBox();
-        path = g.path();
-        lossless = false;
-      }
-      if (path != layout.location_field) return false;
-      if (!spec->rect.has_value()) {
-        spec->rect = box;
-      } else {
-        // Intersection of conjunctive boxes; an empty intersection prunes
-        // every bucket, which is exactly right.
-        spec->rect->lo.lon = std::max(spec->rect->lo.lon, box.lo.lon);
-        spec->rect->lo.lat = std::max(spec->rect->lo.lat, box.lo.lat);
-        spec->rect->hi.lon = std::min(spec->rect->hi.lon, box.hi.lon);
-        spec->rect->hi.lat = std::min(spec->rect->hi.lat, box.hi.lat);
-      }
-      return lossless;
-    }
-    case MatchExpr::Kind::kRangeSet: {
-      const auto& rs = static_cast<const RangeSetExpr&>(*expr);
-      if (rs.path() != layout.hilbert_field || !spec->hil_ranges.empty()) {
-        return false;
-      }
-      for (const RangeSetExpr::Range& r : rs.ranges()) {
-        if (r.lo.type() != bson::Type::kInt64 ||
-            r.hi.type() != bson::Type::kInt64) {
-          spec->hil_ranges.clear();
-          return false;
-        }
-        spec->hil_ranges.emplace_back(r.lo.AsInt64(), r.hi.AsInt64());
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-bool BucketPruneSpec::MayContain(const storage::BucketMeta& meta) const {
-  if (min_ts.has_value() && meta.max_ts < *min_ts) return false;
-  if (max_ts.has_value() && meta.min_ts > *max_ts) return false;
-  if (rect.has_value() && meta.has_mbr && !rect->Intersects(meta.mbr)) {
-    return false;
-  }
-  if (!hil_ranges.empty() && !meta.hil_ranges.empty()) {
-    // Both sides sorted and disjoint: two-pointer overlap test.
-    size_t i = 0, j = 0;
-    bool overlap = false;
-    while (i < hil_ranges.size() && j < meta.hil_ranges.size()) {
-      const auto& a = hil_ranges[i];
-      const auto& b = meta.hil_ranges[j];
-      if (a.second < b.first) {
-        ++i;
-      } else if (b.second < a.first) {
-        ++j;
-      } else {
-        overlap = true;
-        break;
-      }
-    }
-    if (!overlap) return false;
-  }
-  return true;
-}
-
-bool BucketPruneSpec::Covers(const storage::BucketMeta& meta) const {
-  if (!exact) return false;
-  if (min_ts.has_value() && meta.min_ts < *min_ts) return false;
-  if (max_ts.has_value() && meta.max_ts > *max_ts) return false;
-  if (rect.has_value()) {
-    // has_mbr guarantees every point carries a canonical GeoJSON location,
-    // so MBR containment implies each point matches the geo leaf.
-    if (!meta.has_mbr || !rect->ContainsRect(meta.mbr)) return false;
-  }
-  if (!hil_ranges.empty()) {
-    if (meta.hil_ranges.empty()) return false;
-    // Every meta range must lie inside one spec range (both sides sorted
-    // and disjoint, so a single forward sweep suffices).
-    size_t i = 0;
-    for (const auto& m : meta.hil_ranges) {
-      while (i < hil_ranges.size() && hil_ranges[i].second < m.first) ++i;
-      if (i == hil_ranges.size() || hil_ranges[i].first > m.first ||
-          hil_ranges[i].second < m.second) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
-                                        const storage::BucketLayout& layout) {
-  BucketPruneSpec spec;
-  spec.exact = ExtractInto(expr, layout, &spec);
-  return spec;
-}
-
-namespace {
-
-/// Folds one conjunct into `sel`; false when the node is outside the
-/// compilable subset (see CompileBucketSelection).
+/// Folds one conjunct into `sel`; false when the node is not a recognised
+/// leaf (see CompileBucketSelection), which leaves it to the expression.
 bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
                  storage::BucketSelection* sel) {
   switch (expr->kind()) {
     case MatchExpr::Kind::kAnd: {
+      bool exact = true;
       for (const ExprPtr& child :
            static_cast<const AndExpr&>(*expr).children()) {
-        if (!CompileInto(child, layout, sel)) return false;
+        exact = CompileInto(child, layout, sel) && exact;
       }
-      return true;
+      return exact;
     }
     case MatchExpr::Kind::kCmp: {
       const auto& cmp = static_cast<const CmpExpr&>(*expr);
@@ -376,27 +216,64 @@ bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
 
 }  // namespace
 
-std::optional<storage::BucketSelection> CompileBucketSelection(
+storage::BucketSelection CompileBucketSelection(
     const ExprPtr& expr, const storage::BucketLayout& layout) {
+  storage::BucketSelection sel;
+  if (expr == nullptr) return sel;
   // The columns hold top-level fields; a dotted name would make the
   // expression's path walk disagree with them.
   for (const std::string* f : {&layout.time_field, &layout.location_field,
                                &layout.hilbert_field}) {
-    if (f->find('.') != std::string::npos) return std::nullopt;
+    if (f->find('.') != std::string::npos) {
+      sel.exact = false;
+      return sel;
+    }
   }
-  storage::BucketSelection sel;
-  if (expr == nullptr || !CompileInto(expr, layout, &sel)) return std::nullopt;
+  sel.exact = CompileInto(expr, layout, &sel);
   return sel;
+}
+
+BucketFilter::BucketFilter(ExprPtr expr, const storage::BucketLayout& layout)
+    : expr_(std::move(expr)),
+      layout_(&layout),
+      selection_(CompileBucketSelection(expr_, layout)) {}
+
+Result<BucketMatch> BucketFilter::Apply(const bson::Document& bucket,
+                                        const storage::BucketMeta& meta,
+                                        bool partition) const {
+  BucketMatch match;
+  if (!selection_.MayContain(meta)) return match;
+  if (selection_.Covers(meta)) {
+    match.outcome = BucketMatch::Outcome::kCovered;
+    return match;
+  }
+  match.outcome = BucketMatch::Outcome::kPartial;
+  bool selected = false;
+  Result<std::vector<bson::Document>> points = storage::DecodeBucket(
+      bucket, meta, *layout_,
+      selection_.exact && !partition ? &selection_ : nullptr, &selected);
+  if (!points.ok()) return points.status();
+  match.points_built = points->size();
+  if (selected) {
+    match.matched = std::move(*points);
+    return match;
+  }
+  for (bson::Document& point : *points) {
+    if (expr_->Matches(point)) {
+      match.matched.push_back(std::move(point));
+    } else if (partition) {
+      match.unmatched.push_back(std::move(point));
+    }
+  }
+  return match;
 }
 
 BucketUnpackStage::BucketUnpackStage(
     std::unique_ptr<PlanStage> child, ExprPtr point_expr,
     std::shared_ptr<const storage::BucketLayout> layout)
     : child_(std::move(child)),
-      point_expr_(std::move(point_expr)),
       layout_(std::move(layout)),
-      prune_(ExtractBucketPredicates(point_expr_, *layout_)),
-      selection_(CompileBucketSelection(point_expr_, *layout_)) {}
+      filter_(std::move(point_expr), *layout_) {}
 
 PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
                                          const bson::Document** doc_out) {
@@ -414,12 +291,13 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
   if (child_state != State::kAdvanced) return child_state;
   if (doc == nullptr) return State::kNeedTime;
 
+  const ExprPtr& point_expr = filter_.expr();
   if (!storage::IsBucketDocument(*doc)) {
     // A plain (row-layout) document in the stream: filter and pass it
     // through, copied into the arena so that every document this stage
     // emits is arena-owned — the executor moves transient results out of
     // the arena wholesale, which must never touch record-store memory.
-    if (point_expr_ != nullptr && !point_expr_->Matches(*doc)) {
+    if (point_expr != nullptr && !point_expr->Matches(*doc)) {
       return State::kNeedTime;
     }
     arena_.push_back(*doc);
@@ -429,45 +307,41 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
     return State::kAdvanced;
   }
 
-  Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
-  if (!meta.ok()) {
-    status_ = meta.status();
+  const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
+  Result<BucketMatch> match =
+      meta.ok() ? filter_.Apply(*doc, *meta) : meta.status();
+  if (match.ok() && match->outcome == BucketMatch::Outcome::kCovered) {
+    // Every point matches: decode them all, with no per-point filtering.
+    Result<std::vector<bson::Document>> all =
+        storage::DecodeBucket(*doc, *meta, *layout_);
+    if (all.ok()) {
+      match->points_built = all->size();
+      match->matched = std::move(*all);
+    } else {
+      match = all.status();
+    }
+  }
+  if (!match.ok()) {
+    status_ = match.status();
     return State::kEof;
   }
-  if (!prune_.MayContain(*meta)) {
+  if (match->outcome == BucketMatch::Outcome::kPruned) {
     ++buckets_pruned_;
     STIX_METRIC_COUNTER(pruned_counter, "bucket.buckets_pruned");
     pruned_counter.Increment();
     return State::kNeedTime;
   }
-
-  // A bucket whose metadata lies wholly inside an exact spec needs no
-  // per-point filtering: every decoded point matches by construction.
-  const bool covered = point_expr_ == nullptr || prune_.Covers(*meta);
-  bool selected = false;
-  Result<std::vector<bson::Document>> points = storage::DecodeBucket(
-      *doc, *layout_,
-      covered || !selection_.has_value() ? nullptr : &*selection_,
-      &selected);
-  if (!points.ok()) {
-    status_ = points.status();
-    return State::kEof;
-  }
   points_unpacked_ += meta->num_points;
-  points_materialized_ += points->size();
+  points_materialized_ += match->points_built;
   STIX_METRIC_COUNTER(unpacked_counter, "bucket.points_unpacked");
   unpacked_counter.Increment(meta->num_points);
   STIX_METRIC_COUNTER(materialized_counter, "bucket.points_materialized");
-  materialized_counter.Increment(points->size());
+  materialized_counter.Increment(match->points_built);
 
-  const size_t before = arena_.size();
-  for (bson::Document& point : *points) {
-    if (covered || selected || point_expr_->Matches(point)) {
-      arena_.push_back(std::move(point));
-    }
+  if (match->matched.empty()) return State::kNeedTime;
+  for (bson::Document& point : match->matched) {
+    arena_.push_back(std::move(point));
   }
-  if (arena_.size() == before) return State::kNeedTime;
-
   // Every point of this bucket is attributed to the bucket's record id.
   pending_rid_ = rid;
   *rid_out = pending_rid_;
@@ -488,7 +362,9 @@ std::string BucketUnpackStage::Summary() const {
 ExplainNode BucketUnpackStage::Explain() const {
   ExplainNode node;
   node.stage = "BUCKET_UNPACK";
-  if (point_expr_ != nullptr) node.filter = point_expr_->DebugString();
+  if (filter_.expr() != nullptr) {
+    node.filter = filter_.expr()->DebugString();
+  }
   node.buckets_pruned = buckets_pruned_;
   node.points_unpacked = points_unpacked_;
   node.points_materialized = points_materialized_;

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "query/plan_stage.h"
@@ -37,60 +35,66 @@ namespace stix::query {
 ExprPtr WidenForBuckets(const ExprPtr& expr,
                         const storage::BucketLayout& layout);
 
-/// The bucket-level pruning predicates BucketUnpackStage extracts from the
-/// point expression once, at construction: checked against BucketMeta
-/// before any column is touched.
-struct BucketPruneSpec {
-  /// Closed time bounds on the points (from time_field comparisons).
-  std::optional<int64_t> min_ts;
-  std::optional<int64_t> max_ts;
-  /// Spatial bound: the query rect, or a polygon's bounding box.
-  std::optional<geo::Rect> rect;
-  /// Sorted disjoint closed hilbertIndex ranges (from a RangeSet).
-  std::vector<std::pair<int64_t, int64_t>> hil_ranges;
-
-  /// True iff this spec IS the whole point expression — every leaf was a
-  /// conjunct the extraction captured losslessly (time cmp, rect on point
-  /// locations, one hilbert RangeSet). Polygons capture only their bounding
-  /// box, $or captures nothing; both leave exact false.
-  bool exact = false;
-
-  /// True iff a bucket with this metadata may contain a matching point.
-  bool MayContain(const storage::BucketMeta& meta) const;
-
-  /// True iff every point of a bucket with this metadata matches: the spec
-  /// is exact and the metadata lies entirely inside its bounds. Lets the
-  /// unpack stage skip the per-point filter for fully covered buckets (the
-  /// whole-bucket analogue of an index range's covered interior).
-  bool Covers(const storage::BucketMeta& meta) const;
-};
-
-/// Extracts the prunable conjuncts of `expr` (top-level $and walk, same
-/// recognition rules as WidenForBuckets).
-BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
-                                        const storage::BucketLayout& layout);
-
-/// Compiles `expr` into the column predicate DecodeBucket evaluates before
-/// building documents — only when the expression is a conjunction ($and,
-/// nested or not) of these leaves, each on a top-level field of the layout:
+/// Compiles `expr` once into the bucket filter: walks its top-level $and
+/// (nested or not) and puts every recognised leaf into the selection —
 ///  - a time_field comparison against a DateTime,
 ///  - $geoWithin $box, $geoIntersects $box or $geoWithin $polygon on
 ///    location_field,
-///  - a hilbert_field RangeSet whose bounds are all Int64.
-/// The selection then decides exactly what `expr->Matches` decides on every
-/// rebuilt point. Any other shape (null, $or, $in, residual fields) returns
-/// nullopt and the unpack stage keeps the full decode plus Matches.
-std::optional<storage::BucketSelection> CompileBucketSelection(
+///  - a hilbert_field RangeSet whose bounds are all Int64 —
+/// each on a top-level field of the layout. Any other leaf (residual
+/// fields, $or, $in, other value types) is left to the expression and
+/// clears `exact`; so does a dotted layout field name, which leaves the
+/// selection empty. A null expression matches everything: an empty, exact
+/// selection.
+storage::BucketSelection CompileBucketSelection(
     const ExprPtr& expr, const storage::BucketLayout& layout);
 
+/// What one bucket contributes to a point expression (BucketFilter::Apply).
+/// Pruned and covered buckets are decided on their metadata alone; only a
+/// partial one is decoded, and only it fills the fields below.
+struct BucketMatch {
+  enum class Outcome { kPruned, kCovered, kPartial };
+  Outcome outcome = Outcome::kPruned;
+  /// The matching points, in insertion order.
+  std::vector<bson::Document> matched;
+  /// The other points, when Apply was asked to partition.
+  std::vector<bson::Document> unmatched;
+  /// Point documents the decode built: the matches alone when the column
+  /// selection applied, every point otherwise.
+  uint64_t points_built = 0;
+};
+
+/// A point expression compiled once (CompileBucketSelection) for
+/// bucket-at-a-time evaluation: the one answer to "which points of this
+/// bucket match?" behind BUCKET_UNPACK, bucketed deletes and the cold scan.
+class BucketFilter {
+ public:
+  /// `layout` must outlive the filter.
+  BucketFilter(ExprPtr expr, const storage::BucketLayout& layout);
+
+  /// Decides one bucket from the metadata its caller already parsed:
+  /// pruned, covered, or decoded. An exact selection decodes columnar-first
+  /// and builds only the matches; otherwise (or when the bucket lacks a
+  /// column the selection needs) every point is built and tested with the
+  /// expression. `partition` builds every point and returns the rest in
+  /// `unmatched` as well.
+  Result<BucketMatch> Apply(const bson::Document& bucket,
+                            const storage::BucketMeta& meta,
+                            bool partition = false) const;
+
+  const ExprPtr& expr() const { return expr_; }
+
+ private:
+  ExprPtr expr_;
+  const storage::BucketLayout* layout_;
+  storage::BucketSelection selection_;
+};
+
 /// MongoDB's $_internalUnpackBucket as a plan stage: pulls bucket documents
-/// from its child (FETCH over the widened bounds, or COLLSCAN), prunes
-/// whole buckets on their metadata (time extent, MBR, hilbert ranges),
-/// decompresses the survivors and streams out the points that match the
-/// exact point-level expression. When the expression compiles to a column
-/// predicate (CompileBucketSelection) the filter runs on the ts/lon/lat/hil
-/// columns and only matching points are materialized; otherwise every
-/// point is rebuilt and tested with Matches.
+/// from its child (FETCH over the widened bounds, or COLLSCAN) and streams
+/// out the points that match the exact point-level expression, each bucket
+/// decided by its BucketFilter (pruned, covered and decoded whole, or
+/// decoded columnar-first).
 ///
 /// A bucket that fails to decode fails the stage: it records the
 /// Corruption status (see status()) and reports end of stream, so the read
@@ -128,10 +132,8 @@ class BucketUnpackStage : public PlanStage {
 
  private:
   std::unique_ptr<PlanStage> child_;
-  ExprPtr point_expr_;
   std::shared_ptr<const storage::BucketLayout> layout_;
-  BucketPruneSpec prune_;
-  std::optional<storage::BucketSelection> selection_;
+  BucketFilter filter_;
 
   /// Pointer-stable arena of every matching decoded point (deque: grows
   /// without relocation). Pending points are emitted one per Work() call.

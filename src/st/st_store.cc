@@ -8,6 +8,7 @@
 
 #include "bson/codec.h"
 #include "common/metrics.h"
+#include "query/bucket_unpack.h"
 
 namespace stix::st {
 namespace {
@@ -444,14 +445,13 @@ std::optional<double> StStore::MinBucketDistanceM(geo::Point center,
   (void)FlushBuckets();
   const storage::BucketLayout& layout = *options_.bucket;
 
-  // Bucket-level time window: stored documents carry window starts, so the
-  // lower bound widens by window_ms - 1 (Router::RoutingExpr's rewrite,
-  // phrased directly since this cursor streams raw buckets).
-  query::ExprPtr expr = query::MakeAnd(
-      {query::MakeCmp(layout.time_field, query::CmpOp::kGte,
-                      bson::Value::DateTime(t_begin_ms - layout.window_ms + 1)),
-       query::MakeCmp(layout.time_field, query::CmpOp::kLte,
-                      bson::Value::DateTime(t_end_ms))});
+  // This cursor streams raw buckets, so it routes on the bucket-level
+  // rewrite of the point time window (stored documents carry window
+  // starts).
+  const query::ExprPtr expr = query::WidenForBuckets(
+      query::MakeRange(layout.time_field, bson::Value::DateTime(t_begin_ms),
+                       bson::Value::DateTime(t_end_ms)),
+      layout);
 
   cluster::CursorOptions cursor_options;
   cursor_options.batch_size = 0;

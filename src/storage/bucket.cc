@@ -586,16 +586,89 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
   return out;
 }
 
+namespace {
+
+/// Both sides sorted and disjoint: true iff some range of `a` overlaps
+/// some range of `b` (two-pointer sweep).
+bool RangesOverlap(const std::vector<std::pair<int64_t, int64_t>>& a,
+                   const std::vector<std::pair<int64_t, int64_t>>& b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].second < b[j].first) {
+      ++i;
+    } else if (b[j].second < a[i].first) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Both sides sorted and disjoint: true iff every range of `inner` lies
+/// inside one range of `outer` (a single forward sweep).
+bool RangesContain(const std::vector<std::pair<int64_t, int64_t>>& outer,
+                   const std::vector<std::pair<int64_t, int64_t>>& inner) {
+  size_t i = 0;
+  for (const auto& m : inner) {
+    while (i < outer.size() && outer[i].second < m.first) ++i;
+    if (i == outer.size() || outer[i].first > m.first ||
+        outer[i].second < m.second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool BucketSelection::MayContain(const BucketMeta& meta) const {
+  if (min_ts > max_ts || meta.max_ts < min_ts || meta.min_ts > max_ts) {
+    return false;
+  }
+  if (meta.has_mbr) {
+    for (const geo::Rect& r : rects) {
+      if (!r.Intersects(meta.mbr)) return false;
+    }
+    for (const geo::Polygon& poly : polygons) {
+      if (!poly.BoundingBox().Intersects(meta.mbr)) return false;
+    }
+  }
+  if (!meta.hil_ranges.empty()) {
+    for (const auto& ranges : hil_range_sets) {
+      if (!RangesOverlap(ranges, meta.hil_ranges)) return false;
+    }
+  }
+  return true;
+}
+
+bool BucketSelection::Covers(const BucketMeta& meta) const {
+  if (!exact || !polygons.empty()) return false;
+  if (meta.min_ts < min_ts || meta.max_ts > max_ts) return false;
+  // has_mbr guarantees every point carries a canonical GeoJSON location,
+  // so MBR containment implies each point matches the rect leaf; likewise
+  // meta hil ranges exist only when every point has an Int64 hilbert.
+  if (!rects.empty() && !meta.has_mbr) return false;
+  for (const geo::Rect& r : rects) {
+    if (!r.ContainsRect(meta.mbr)) return false;
+  }
+  if (!hil_range_sets.empty() && meta.hil_ranges.empty()) return false;
+  for (const auto& ranges : hil_range_sets) {
+    if (!RangesContain(ranges, meta.hil_ranges)) return false;
+  }
+  return true;
+}
+
 Result<std::vector<bson::Document>> DecodeBucket(
-    const bson::Document& bucket, const BucketLayout& layout,
-    const BucketSelection* selection, bool* selected) {
-  if (!IsBucketDocument(bucket)) {
+    const bson::Document& bucket, const BucketMeta& meta,
+    const BucketLayout& layout, const BucketSelection* selection,
+    bool* selected) {
+  const bson::Value* data_v = bucket.Get(kBucketDataField);
+  if (data_v == nullptr || data_v->type() != bson::Type::kDocument) {
     return Status::Corruption("not a bucket document");
   }
-  Result<BucketMeta> meta = ParseBucketMeta(bucket);
-  if (!meta.ok()) return meta.status();
-  const size_t n = meta->num_points;
-  const bson::Document& data = bucket.Get(kBucketDataField)->AsDocument();
+  const size_t n = meta.num_points;
+  const bson::Document& data = data_v->AsDocument();
 
   const auto column = [&data](std::string_view name) -> const std::string* {
     const bson::Value* v = data.Get(name);

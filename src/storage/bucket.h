@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bson/document.h"
@@ -107,11 +108,12 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
                                     const BucketLayout& layout);
 
 /// A conjunctive per-point predicate over the bucket's ts, lon/lat and hil
-/// columns. Each leaf decides exactly what the corresponding match
-/// expression decides on the rebuilt point (the columns are bit-exact with
-/// it): closed time bounds, boundary-inclusive geo::Rect / geo::Polygon
-/// containment, and the RangeSet rule (the first range with hi >= value
-/// must have lo <= value).
+/// columns, compiled once per query (query::CompileBucketSelection). Each
+/// leaf decides exactly what the corresponding match expression decides on
+/// the rebuilt point (the columns are bit-exact with it): closed time
+/// bounds, boundary-inclusive geo::Rect / geo::Polygon containment, and the
+/// RangeSet rule (the first range with hi >= value must have lo <= value).
+/// The same leaves prune and cover whole buckets on their BucketMeta.
 struct BucketSelection {
   /// Closed bounds on the time column; min_ts > max_ts selects nothing.
   int64_t min_ts = std::numeric_limits<int64_t>::min();
@@ -122,21 +124,38 @@ struct BucketSelection {
   /// Sorted, disjoint closed [lo, hi] hilbert ranges; the point's value
   /// must fall in one range of every set.
   std::vector<std::vector<std::pair<int64_t, int64_t>>> hil_range_sets;
+  /// True iff these leaves ARE the whole point expression. Otherwise they
+  /// are only implied by it: sound for pruning, while the points of a
+  /// surviving bucket still need the expression itself.
+  bool exact = true;
+
+  /// False iff no point of a bucket with this metadata can satisfy the
+  /// leaves: the time extent misses the bounds, the MBR misses a rect or a
+  /// polygon's bounding box, or the hilbert ranges miss a range set.
+  bool MayContain(const BucketMeta& meta) const;
+
+  /// True iff every point of a bucket with this metadata matches the whole
+  /// expression: the selection is exact, has no polygon, and the metadata
+  /// lies inside the time bounds, every rect and every range set.
+  bool Covers(const BucketMeta& meta) const;
 };
 
 /// Reverses EncodeBucket, reproducing the original point documents in
-/// insertion order. With a selection, the columns it tests are decoded
-/// first (ts, then lon/lat, then hil, each only while some point survives)
-/// and only the surviving points are built: the position and _id columns
-/// and the residuals are decoded only when some point survives, and
-/// per-point BSON residuals of unselected points are skipped unparsed.
+/// insertion order. `meta` is the bucket's own ParseBucketMeta result,
+/// which the caller has already checked (IsBucketDocument) and parsed.
+/// With a selection, the columns it tests are decoded first (ts, then
+/// lon/lat, then hil, each only while some point survives) and only the
+/// surviving points are built: the position and _id columns and the
+/// residuals are decoded only when some point survives, and per-point BSON
+/// residuals of unselected points are skipped unparsed.
 /// A bucket lacking a column the selection needs (some point had a
 /// non-canonical location or no Int64 hilbert) decodes every point instead.
 /// *selected, when non-null, reports which of the two happened: true iff
 /// the returned points are exactly the ones satisfying the selection.
 Result<std::vector<bson::Document>> DecodeBucket(
-    const bson::Document& bucket, const BucketLayout& layout,
-    const BucketSelection* selection = nullptr, bool* selected = nullptr);
+    const bson::Document& bucket, const BucketMeta& meta,
+    const BucketLayout& layout, const BucketSelection* selection = nullptr,
+    bool* selected = nullptr);
 
 /// Decodes only the pruning metadata (no column access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);

@@ -15,53 +15,45 @@ namespace stix::storage {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'I', 'X', 'C', 'K', 'P', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kBlockTarget = 256 * 1024;
 constexpr uint32_t kMaxBlockLen = 64u * 1024 * 1024;
 constexpr char kSuffix[] = ".ckpt";
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+/// Little-endian fixed-width integers.
+template <typename T>
+void PutLe(T v, std::string* out) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
 }
+void PutU32(uint32_t v, std::string* out) { PutLe(v, out); }
+void PutU64(uint64_t v, std::string* out) { PutLe(v, out); }
 
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+template <typename T>
+T GetLe(const char* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+uint32_t GetU32Mem(const char* p) { return GetLe<uint32_t>(p); }
+uint64_t GetU64Mem(const char* p) { return GetLe<uint64_t>(p); }
+
+/// Reads `len` bytes from `in` onto the end of `*buf`; false on a short
+/// read.
+bool ReadInto(std::istream* in, size_t len, std::string* buf) {
+  const size_t at = buf->size();
+  buf->resize(at + len);
+  return static_cast<bool>(in->read(buf->data() + at, len));
 }
 
 bool GetU32(std::istream* in, uint32_t* v) {
-  char buf[4];
-  if (!in->read(buf, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>(buf[i])) << (8 * i);
-  }
+  std::string buf;
+  if (!ReadInto(in, 4, &buf)) return false;
+  *v = GetU32Mem(buf.data());
   return true;
-}
-
-bool GetU64(std::istream* in, uint64_t* v) {
-  char buf[8];
-  if (!in->read(buf, 8)) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<uint8_t>(buf[i])) << (8 * i);
-  }
-  return true;
-}
-
-uint32_t GetU32Mem(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64Mem(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
 }
 
 /// Accumulates a raw byte stream and flushes it as LZ'd CRC-framed blocks.
@@ -119,16 +111,30 @@ std::string ParseLsnFromName(const std::string& path, uint64_t* lsn) {
   return name;
 }
 
-/// Reads one block stream (until the raw_len == 0 terminator) and returns
-/// the concatenated raw bytes.
-Result<std::string> ReadBlocks(std::istream* in) {
-  std::string raw;
+/// Reads the u32 CRC32 that follows a header and checks it against the
+/// header's bytes.
+Status CheckHeaderCrc(std::istream* in, std::string_view header) {
+  uint32_t crc;
+  if (!GetU32(in, &crc)) {
+    return Status::Corruption("checkpoint: truncated header checksum");
+  }
+  if (Crc32(header) != crc) {
+    return Status::Corruption("checkpoint: header checksum mismatch");
+  }
+  return Status::OK();
+}
+
+/// Reads one block stream (until the raw_len == 0 terminator), handing each
+/// decompressed block to `fn` as soon as it is checked, so a reader holds
+/// one block at a time, never the whole section.
+Status ForEachBlock(std::istream* in,
+                    const std::function<Status(std::string_view)>& fn) {
   for (;;) {
     uint32_t raw_len;
     if (!GetU32(in, &raw_len)) {
       return Status::Corruption("checkpoint: truncated block header");
     }
-    if (raw_len == 0) return raw;
+    if (raw_len == 0) return Status::OK();
     uint32_t comp_len, crc;
     if (!GetU32(in, &comp_len) || !GetU32(in, &crc)) {
       return Status::Corruption("checkpoint: truncated block header");
@@ -148,7 +154,7 @@ Result<std::string> ReadBlocks(std::istream* in) {
     if (block->size() != raw_len) {
       return Status::Corruption("checkpoint: block length mismatch");
     }
-    raw += *block;
+    if (Status s = fn(*block); !s.ok()) return s;
   }
 }
 
@@ -165,50 +171,97 @@ Result<CheckpointHeader> OpenCheckpoint(const std::string& path,
   if (!in->is_open()) {
     return Status::NotFound("cannot open checkpoint file: " + path);
   }
-  char magic[8];
-  if (!in->read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  std::string header;
+  if (!ReadInto(in, sizeof(kMagic), &header) ||
+      std::memcmp(header.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("not a STIX checkpoint: " + path);
   }
-  uint32_t version;
-  if (!GetU32(in, &version) || version != kVersion) {
+  if (!ReadInto(in, 4, &header) ||
+      GetU32Mem(header.data() + sizeof(kMagic)) != kVersion) {
     return Status::Corruption("unsupported checkpoint version");
   }
-  CheckpointHeader header;
-  if (!GetU64(in, &header.lsn) || !GetU64(in, &header.max_record_id) ||
-      !GetU64(in, &header.num_docs)) {
+  if (!ReadInto(in, 24, &header)) {
     return Status::Corruption("checkpoint: truncated header");
   }
-  return header;
+  if (Status s = CheckHeaderCrc(in, header); !s.ok()) return s;
+  const char* fields = header.data() + sizeof(kMagic) + 4;
+  CheckpointHeader out;
+  out.lsn = GetU64Mem(fields);
+  out.max_record_id = GetU64Mem(fields + 8);
+  out.num_docs = GetU64Mem(fields + 16);
+  return out;
 }
 
 /// Reads the document blocks at `in` and hands every (rid, BSON) entry to
-/// `fn`; Corruption when the entries do not add up to `num_docs`.
+/// `fn`, one block at a time; Corruption when an entry crosses a block
+/// boundary (the writer never splits one) or the entries do not add up to
+/// `num_docs`.
 Status WalkDocuments(std::istream* in, uint64_t num_docs,
                      const CheckpointDocFn& fn) {
-  Result<std::string> doc_stream = ReadBlocks(in);
-  if (!doc_stream.ok()) return doc_stream.status();
-  const std::string_view bytes = *doc_stream;
-  size_t offset = 0;
   uint64_t walked = 0;
-  while (offset < bytes.size()) {
-    if (offset + 12 > bytes.size()) {
-      return Status::Corruption("checkpoint: truncated document entry");
-    }
-    const uint64_t rid = GetU64Mem(bytes.data() + offset);
-    const uint32_t len = GetU32Mem(bytes.data() + offset + 8);
-    offset += 12;
-    if (offset + len > bytes.size()) {
-      return Status::Corruption("checkpoint: truncated document body");
-    }
-    if (Status s = fn(rid, bytes.substr(offset, len)); !s.ok()) return s;
-    offset += len;
-    ++walked;
+  if (Status s = ForEachBlock(in, [&](std::string_view block) -> Status {
+        while (!block.empty()) {
+          if (block.size() < 12 ||
+              GetU32Mem(block.data() + 8) > block.size() - 12) {
+            return Status::Corruption(
+                "checkpoint: document entry crosses a block boundary");
+          }
+          const uint32_t len = GetU32Mem(block.data() + 8);
+          if (Status s = fn(GetU64Mem(block.data()), block.substr(12, len));
+              !s.ok()) {
+            return s;
+          }
+          block.remove_prefix(12 + len);
+          ++walked;
+        }
+        return Status::OK();
+      });
+      !s.ok()) {
+    return s;
   }
   if (walked != num_docs) {
     return Status::Corruption("checkpoint: document count mismatch");
   }
   return Status::OK();
+}
+
+/// Reads one index section (CRC-checked header, then its entry blocks).
+Result<CheckpointIndexImage> ReadIndex(std::istream* in) {
+  std::string header;
+  if (!ReadInto(in, 4, &header)) {
+    return Status::Corruption("checkpoint: truncated index header");
+  }
+  const uint32_t name_len = GetU32Mem(header.data());
+  if (name_len > 4096 || !ReadInto(in, name_len + 1 + 8, &header)) {
+    return Status::Corruption("checkpoint: truncated index header");
+  }
+  if (Status s = CheckHeaderCrc(in, header); !s.ok()) return s;
+  CheckpointIndexImage index;
+  index.name = header.substr(4, name_len);
+  index.multikey = header[4 + name_len] != 0;
+  const uint64_t num_entries = GetU64Mem(header.data() + 4 + name_len + 1);
+
+  if (Status s = ForEachBlock(in, [&](std::string_view block) -> Status {
+        while (!block.empty()) {
+          if (block.size() < 4 ||
+              size_t{GetU32Mem(block.data())} + 8 > block.size() - 4) {
+            return Status::Corruption(
+                "checkpoint: index entry crosses a block boundary");
+          }
+          const uint32_t key_len = GetU32Mem(block.data());
+          index.entries.emplace_back(std::string(block.substr(4, key_len)),
+                                     GetU64Mem(block.data() + 4 + key_len));
+          block.remove_prefix(4 + key_len + 8);
+        }
+        return Status::OK();
+      });
+      !s.ok()) {
+    return s;
+  }
+  if (index.entries.size() != num_entries) {
+    return Status::Corruption("checkpoint: index entry count mismatch");
+  }
+  return index;
 }
 
 }  // namespace
@@ -256,6 +309,7 @@ Status WriteCheckpoint(const Collection& collection,
   PutU64(lsn, &header);
   PutU64(collection.records().max_record_id(), &header);
   PutU64(collection.records().num_records(), &header);
+  PutU32(Crc32(header), &header);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
   BlockWriter docs(&out);
@@ -275,6 +329,7 @@ Status WriteCheckpoint(const Collection& collection,
 
   std::string index_count;
   PutU32(static_cast<uint32_t>(indexes.size()), &index_count);
+  PutU32(Crc32(index_count), &index_count);
   out.write(index_count.data(),
             static_cast<std::streamsize>(index_count.size()));
   for (const IndexDump& dump : indexes) {
@@ -283,6 +338,7 @@ Status WriteCheckpoint(const Collection& collection,
     index_header += dump.name;
     index_header.push_back(dump.multikey ? 1 : 0);
     PutU64(dump.btree->num_entries(), &index_header);
+    PutU32(Crc32(index_header), &index_header);
     out.write(index_header.data(),
               static_cast<std::streamsize>(index_header.size()));
     BlockWriter entries(&out);
@@ -337,47 +393,16 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
   }
   image.collection.records().PadToRecordId(image.max_record_id);
 
-  uint32_t num_indexes;
-  if (!GetU32(&in, &num_indexes)) {
+  std::string index_count;
+  if (!ReadInto(&in, 4, &index_count)) {
     return Status::Corruption("checkpoint: truncated index count");
   }
+  if (Status s = CheckHeaderCrc(&in, index_count); !s.ok()) return s;
+  const uint32_t num_indexes = GetU32Mem(index_count.data());
   for (uint32_t i = 0; i < num_indexes; ++i) {
-    CheckpointIndexImage index;
-    uint32_t name_len;
-    if (!GetU32(&in, &name_len) || name_len > 4096) {
-      return Status::Corruption("checkpoint: truncated index header");
-    }
-    index.name.resize(name_len);
-    char multikey;
-    uint64_t num_entries;
-    if (!in.read(index.name.data(), name_len) || !in.read(&multikey, 1) ||
-        !GetU64(&in, &num_entries)) {
-      return Status::Corruption("checkpoint: truncated index header");
-    }
-    index.multikey = multikey != 0;
-
-    Result<std::string> entry_stream = ReadBlocks(&in);
-    if (!entry_stream.ok()) return entry_stream.status();
-    size_t pos = 0;
-    while (pos < entry_stream->size()) {
-      if (pos + 4 > entry_stream->size()) {
-        return Status::Corruption("checkpoint: truncated index entry");
-      }
-      const uint32_t key_len = GetU32Mem(entry_stream->data() + pos);
-      pos += 4;
-      if (pos + key_len + 8 > entry_stream->size()) {
-        return Status::Corruption("checkpoint: truncated index entry");
-      }
-      std::string key(entry_stream->data() + pos, key_len);
-      pos += key_len;
-      const uint64_t rid = GetU64Mem(entry_stream->data() + pos);
-      pos += 8;
-      index.entries.emplace_back(std::move(key), rid);
-    }
-    if (index.entries.size() != num_entries) {
-      return Status::Corruption("checkpoint: index entry count mismatch");
-    }
-    image.indexes.push_back(std::move(index));
+    Result<CheckpointIndexImage> index = ReadIndex(&in);
+    if (!index.ok()) return index.status();
+    image.indexes.push_back(std::move(*index));
   }
   return image;
 }

@@ -45,14 +45,16 @@ struct CheckpointImage {
 /// crash mid-checkpoint (the checkpointMidWrite fail point) leaves the
 /// previous checkpoint untouched and at worst a stray `.tmp`.
 ///
-/// Format (little-endian): magic "STIXCKP1" | u32 version | u64 lsn |
-/// u64 max_record_id | u64 num_docs | doc blocks | u32 num_indexes |
-/// per index: u32 name_len, name, u8 multikey, u64 num_entries,
+/// Format (little-endian, version 2): magic "STIXCKP1" | u32 version |
+/// u64 lsn | u64 max_record_id | u64 num_docs | u32 crc32(all before) |
+/// doc blocks | u32 num_indexes | u32 crc32(num_indexes) | per index:
+/// u32 name_len, name, u8 multikey, u64 num_entries, u32 crc32(those),
 /// entry blocks. Blocks are LZ'd images of ~256 KB of entries in a CRC32
 /// frame: u32 raw_len | u32 comp_len | u32 crc32(comp) | comp bytes,
 /// raw_len == 0 terminating the stream. Doc blocks decompress to repeated
 /// (u64 rid | u32 len | BSON); entry blocks to repeated
-/// (u32 key_len | key | u64 rid).
+/// (u32 key_len | key | u64 rid). No entry crosses a block boundary, so
+/// readers parse one block at a time.
 Status WriteCheckpoint(const Collection& collection,
                        const std::vector<IndexDump>& indexes, uint64_t lsn,
                        const std::string& dir);

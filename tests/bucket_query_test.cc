@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -172,9 +173,9 @@ TEST(BucketQueryTest, ExplainShowsBucketUnpackWithConsistentCounters) {
             explain.cluster.result.total_keys_examined);
 }
 
-// ---------- pruning spec: widening and coverage ----------
+// ---------- bucket selection: pruning and coverage ----------
 
-TEST(BucketPruneSpecTest, CoversOnlyWhenExactAndContained) {
+TEST(BucketSelectionTest, CoversOnlyWhenExactAndContained) {
   storage::BucketLayout layout;
   layout.window_ms = 6 * kHourMs;
   const int64_t t0 = 1530403200000;
@@ -186,50 +187,85 @@ TEST(BucketPruneSpecTest, CoversOnlyWhenExactAndContained) {
   conjuncts.push_back(query::MakeGeoWithinBox(
       layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}}));
   const query::ExprPtr expr = query::MakeAnd(std::move(conjuncts));
-  const query::BucketPruneSpec spec =
-      query::ExtractBucketPredicates(expr, layout);
-  EXPECT_TRUE(spec.exact);
+  const storage::BucketSelection sel =
+      query::CompileBucketSelection(expr, layout);
+  EXPECT_TRUE(sel.exact);
 
   storage::BucketMeta inside;
   inside.min_ts = t0 + 1000;
   inside.max_ts = t0 + kHourMs - 1000;
   inside.has_mbr = true;
   inside.mbr = {{23.2, 37.2}, {23.8, 37.8}};
-  EXPECT_TRUE(spec.MayContain(inside));
-  EXPECT_TRUE(spec.Covers(inside));
+  EXPECT_TRUE(sel.MayContain(inside));
+  EXPECT_TRUE(sel.Covers(inside));
 
   // Time extent pokes out of the bounds: may contain, but not covered.
   storage::BucketMeta straddling = inside;
   straddling.max_ts = t0 + 2 * kHourMs;
-  EXPECT_TRUE(spec.MayContain(straddling));
-  EXPECT_FALSE(spec.Covers(straddling));
+  EXPECT_TRUE(sel.MayContain(straddling));
+  EXPECT_FALSE(sel.Covers(straddling));
 
   // MBR partially outside the rect: same.
   storage::BucketMeta overhang = inside;
   overhang.mbr = {{23.5, 37.5}, {24.5, 38.5}};
-  EXPECT_TRUE(spec.MayContain(overhang));
-  EXPECT_FALSE(spec.Covers(overhang));
+  EXPECT_TRUE(sel.MayContain(overhang));
+  EXPECT_FALSE(sel.Covers(overhang));
 
   // Disjoint in space: prunable.
   storage::BucketMeta far = inside;
   far.mbr = {{27.0, 40.0}, {28.0, 41.0}};
-  EXPECT_FALSE(spec.MayContain(far));
+  EXPECT_FALSE(sel.MayContain(far));
 
   // No MBR recorded (some point had a non-canonical location): the rect
   // can neither prune nor cover.
   storage::BucketMeta opaque = inside;
   opaque.has_mbr = false;
-  EXPECT_TRUE(spec.MayContain(opaque));
-  EXPECT_FALSE(spec.Covers(opaque));
+  EXPECT_TRUE(sel.MayContain(opaque));
+  EXPECT_FALSE(sel.Covers(opaque));
 
-  // A polygon captures only its bounding box — never exact, never covers.
+  // A residual conjunct stays with the expression: the rest still prunes,
+  // but nothing covers.
+  const storage::BucketSelection residual = query::CompileBucketSelection(
+      query::MakeAnd({expr, query::MakeCmp("speed", query::CmpOp::kGt,
+                                           bson::Value::Double(45.0))}),
+      layout);
+  EXPECT_FALSE(residual.exact);
+  EXPECT_FALSE(residual.MayContain(far));
+  EXPECT_FALSE(residual.Covers(inside));
+
+  // A polygon is decided exactly on the columns, so the selection is exact;
+  // it prunes by its bounding box but never covers.
   const query::ExprPtr poly_expr = query::MakeGeoWithinPolygon(
       layout.location_field,
       geo::Polygon{{{23.0, 37.0}, {24.0, 37.0}, {23.5, 38.0}}});
-  const query::BucketPruneSpec poly_spec =
-      query::ExtractBucketPredicates(poly_expr, layout);
-  EXPECT_FALSE(poly_spec.exact);
-  EXPECT_FALSE(poly_spec.Covers(inside));
+  const storage::BucketSelection poly_sel =
+      query::CompileBucketSelection(poly_expr, layout);
+  EXPECT_TRUE(poly_sel.exact);
+  EXPECT_TRUE(poly_sel.MayContain(inside));
+  EXPECT_FALSE(poly_sel.MayContain(far));
+  EXPECT_FALSE(poly_sel.Covers(inside));
+
+  // Every hilbert RangeSet must overlap the bucket's ranges to keep it and
+  // contain them to cover it — the second set prunes as well as the first.
+  const auto range_set = [&](int64_t lo, int64_t hi) {
+    return query::MakeRangeSet(
+        layout.hilbert_field,
+        {{bson::Value::Int64(lo), bson::Value::Int64(hi)}});
+  };
+  storage::BucketMeta cells = inside;
+  cells.hil_ranges = {{100, 120}, {200, 210}};
+  const storage::BucketSelection one_set =
+      query::CompileBucketSelection(range_set(90, 300), layout);
+  EXPECT_TRUE(one_set.MayContain(cells));
+  EXPECT_TRUE(one_set.Covers(cells));
+  const storage::BucketSelection two_sets = query::CompileBucketSelection(
+      query::MakeAnd({range_set(90, 300), range_set(130, 190)}), layout);
+  EXPECT_TRUE(two_sets.exact);
+  EXPECT_FALSE(two_sets.MayContain(cells));
+  const storage::BucketSelection both_overlap = query::CompileBucketSelection(
+      query::MakeAnd({range_set(90, 300), range_set(115, 205)}), layout);
+  EXPECT_TRUE(both_overlap.MayContain(cells));
+  EXPECT_FALSE(both_overlap.Covers(cells));
 }
 
 TEST(BucketQueryTest, DeleteRemovesPointsUnderBucketLayout) {
@@ -261,6 +297,89 @@ TEST(BucketQueryTest, DeleteRemovesPointsUnderBucketLayout) {
   const StQueryResult after =
       store->Query(everything, traj.t_begin_ms, traj.t_end_ms);
   EXPECT_EQ(after.cluster.docs.size(), expected_survivors);
+}
+
+// Sums of the chunk table's accounting against what the shards store.
+void ExpectChunkAccountingMatchesStorage(const StStore& store) {
+  uint64_t chunk_docs = 0, chunk_points = 0;
+  const cluster::ChunkManager& chunks = store.cluster().chunks();
+  for (size_t i = 0; i < chunks.num_chunks(); ++i) {
+    chunk_docs += chunks.chunk(i).docs;
+    chunk_points += chunks.chunk(i).points;
+  }
+  uint64_t stored_docs = 0, stored_points = 0;
+  for (const auto& shard : store.cluster().shards()) {
+    shard->collection().records().ForEach(
+        [&](storage::RecordId, const bson::Document& doc) {
+          ++stored_docs;
+          const Result<storage::BucketMeta> meta =
+              storage::ParseBucketMeta(doc);
+          stored_points += meta.ok() ? meta->num_points : 1;
+        });
+  }
+  EXPECT_EQ(chunk_docs, stored_docs);
+  EXPECT_EQ(chunk_points, stored_points);
+}
+
+TEST(BucketQueryTest, DeleteMatchesRowLayoutAcrossBucketOutcomes) {
+  // The bucketed delete has no fuzz oracle: check it against the row
+  // layout on a rect + time window that prunes some buckets, removes
+  // covered ones whole and re-encodes partly hit ones.
+  const workload::TrajectoryOptions traj;
+  const int64_t span = 2 * 24 * kHourMs;
+  const auto row = LoadedStore(ApproachKind::kBslTS, false, 3000, span);
+  const auto bucket = LoadedStore(ApproachKind::kBslTS, true, 3000, span);
+  ASSERT_TRUE(bucket->FlushBuckets().ok());
+  ExpectChunkAccountingMatchesStorage(*bucket);
+
+  const int64_t t0 = traj.t_begin_ms + span / 5;
+  const int64_t t1 = traj.t_begin_ms + span * 3 / 5;
+  const geo::Rect west{{19.0, 34.0}, {23.6, 42.0}};
+
+  // The window really exercises all three outcomes on the stored buckets.
+  const storage::BucketLayout& layout = bucket->bucket_catalog()->layout();
+  const query::BucketFilter filter(
+      query::MakeAnd({query::MakeRange(layout.time_field,
+                                       bson::Value::DateTime(t0),
+                                       bson::Value::DateTime(t1)),
+                      query::MakeGeoWithinBox(layout.location_field, west)}),
+      layout);
+  std::map<query::BucketMatch::Outcome, int> outcomes;
+  for (const auto& shard : bucket->cluster().shards()) {
+    shard->collection().records().ForEach(
+        [&](storage::RecordId, const bson::Document& doc) {
+          const Result<storage::BucketMeta> meta =
+              storage::ParseBucketMeta(doc);
+          ASSERT_TRUE(meta.ok());
+          const Result<query::BucketMatch> match = filter.Apply(doc, *meta);
+          ASSERT_TRUE(match.ok());
+          // A partly hit bucket with no match is left as it is.
+          if (match->outcome != query::BucketMatch::Outcome::kPartial ||
+              !match->matched.empty()) {
+            ++outcomes[match->outcome];
+          }
+        });
+  }
+  EXPECT_GT(outcomes[query::BucketMatch::Outcome::kPruned], 0);
+  EXPECT_GT(outcomes[query::BucketMatch::Outcome::kCovered], 0);
+  EXPECT_GT(outcomes[query::BucketMatch::Outcome::kPartial], 0);
+
+  const uint64_t loaded = row->cluster().total_documents();
+  const Result<uint64_t> row_deleted = row->Delete(west, t0, t1);
+  const Result<uint64_t> bucket_deleted = bucket->Delete(west, t0, t1);
+  ASSERT_TRUE(row_deleted.ok()) << row_deleted.status().ToString();
+  ASSERT_TRUE(bucket_deleted.ok()) << bucket_deleted.status().ToString();
+  EXPECT_GT(*row_deleted, 0u);
+  EXPECT_EQ(*bucket_deleted, *row_deleted);
+
+  const query::ExprPtr all = query::MakeAnd({});
+  const cluster::ClusterQueryResult row_left = row->cluster().Query(all);
+  const cluster::ClusterQueryResult bucket_left =
+      bucket->cluster().Query(all);
+  ASSERT_TRUE(bucket_left.status.ok()) << bucket_left.status.ToString();
+  EXPECT_EQ(row_left.docs.size() + *row_deleted, loaded);
+  EXPECT_EQ(Canon(bucket_left.docs), Canon(row_left.docs));
+  ExpectChunkAccountingMatchesStorage(*bucket);
 }
 
 // ---------- columnar selection vs full decode ----------
@@ -299,13 +418,16 @@ bool ExpectColumnarParity(const std::vector<bson::Document>& points,
   for (const bson::Document& p : points) {
     if (expr->Matches(p)) expected.push_back(bson::EncodeBson(p));
   }
-  const std::optional<storage::BucketSelection> sel =
+  const storage::BucketSelection sel =
       query::CompileBucketSelection(expr, layout);
-  EXPECT_TRUE(sel.has_value()) << expr->DebugString();
-  if (!sel.has_value()) return false;
+  EXPECT_TRUE(sel.exact) << expr->DebugString();
+  if (!sel.exact) return false;
+  const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*bucket);
+  EXPECT_TRUE(meta.ok()) << meta.status().ToString();
+  if (!meta.ok()) return false;
   bool selected = false;
   const Result<std::vector<bson::Document>> got =
-      storage::DecodeBucket(*bucket, layout, &*sel, &selected);
+      storage::DecodeBucket(*bucket, *meta, layout, &sel, &selected);
   EXPECT_TRUE(got.ok()) << got.status().ToString();
   if (!got.ok()) return false;
   if (!selected) {
@@ -541,11 +663,12 @@ TEST(ColumnarSelectionTest, OnlyConjunctionsOfColumnLeavesCompile) {
       layout.time_field, query::CmpOp::kGte, bson::Value::DateTime(0));
   const query::ExprPtr box = query::MakeGeoWithinBox(
       layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
-  EXPECT_TRUE(query::CompileBucketSelection(query::MakeAnd({time, box}),
-                                            layout)
-                  .has_value());
+  EXPECT_TRUE(
+      query::CompileBucketSelection(query::MakeAnd({time, box}), layout)
+          .exact);
+  // A null expression matches everything: an empty, exact selection.
+  EXPECT_TRUE(query::CompileBucketSelection(nullptr, layout).exact);
   const std::vector<query::ExprPtr> rejected = {
-      nullptr,
       // A residual field.
       query::MakeAnd({time, query::MakeCmp("speed", query::CmpOp::kGt,
                                            bson::Value::Double(45.0))}),
@@ -559,8 +682,8 @@ TEST(ColumnarSelectionTest, OnlyConjunctionsOfColumnLeavesCompile) {
                           {{bson::Value::Int32(1), bson::Value::Int32(2)}}),
   };
   for (const query::ExprPtr& e : rejected) {
-    EXPECT_FALSE(query::CompileBucketSelection(e, layout).has_value())
-        << (e == nullptr ? "null" : e->DebugString());
+    EXPECT_FALSE(query::CompileBucketSelection(e, layout).exact)
+        << e->DebugString();
   }
 }
 
@@ -584,16 +707,18 @@ TEST(ColumnarSelectionTest, NoSurvivorLeavesIdsAndResidualsUndecoded) {
   // Off-diagonal corner of the MBR: no point survives the columns.
   storage::BucketSelection none;
   none.rects.push_back(geo::Rect{{23.5, 37.0}, {23.7, 37.2}});
+  const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*bucket);
+  ASSERT_TRUE(meta.ok());
   bool selected = false;
   const Result<std::vector<bson::Document>> empty =
-      storage::DecodeBucket(*bucket, layout, &none, &selected);
+      storage::DecodeBucket(*bucket, *meta, layout, &none, &selected);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_TRUE(selected);
   EXPECT_TRUE(empty->empty());
   // One survivor forces the garbled columns to decode.
   storage::BucketSelection one;
   one.rects.push_back(geo::Rect{{22.95, 36.95}, {23.05, 37.05}});
-  EXPECT_FALSE(storage::DecodeBucket(*bucket, layout, &one).ok());
+  EXPECT_FALSE(storage::DecodeBucket(*bucket, *meta, layout, &one).ok());
 }
 
 // A stored bucket whose points span more than one timestamp.
@@ -741,7 +866,7 @@ TEST(BucketQueryTest, CorruptBucketFailsTheRead) {
                       bson::Value::Int32(-1))});
   ASSERT_FALSE(query::CompileBucketSelection(
                    residual, store->bucket_catalog()->layout())
-                   .has_value());
+                   .exact);
   const cluster::ClusterQueryResult full = store->cluster().Query(residual);
   EXPECT_EQ(full.status.code(), StatusCode::kCorruption)
       << full.status.ToString();

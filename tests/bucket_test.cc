@@ -44,6 +44,15 @@ std::vector<bson::Document> MakeWindowPoints(const BucketLayout& layout,
   return points;
 }
 
+// Decodes `bucket` the way its callers do: metadata first, then columns.
+Result<std::vector<bson::Document>> DecodeWithMeta(
+    const bson::Document& bucket, const BucketLayout& layout,
+    const BucketSelection* selection = nullptr, bool* selected = nullptr) {
+  const Result<BucketMeta> meta = ParseBucketMeta(bucket);
+  if (!meta.ok()) return meta.status();
+  return DecodeBucket(bucket, *meta, layout, selection, selected);
+}
+
 void ExpectBitExact(const std::vector<bson::Document>& original,
                     const std::vector<bson::Document>& decoded) {
   ASSERT_EQ(decoded.size(), original.size());
@@ -61,7 +70,7 @@ TEST(BucketCodecTest, RoundTripIsBitExact) {
   ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
   EXPECT_TRUE(IsBucketDocument(*bucket));
   const Result<std::vector<bson::Document>> back =
-      DecodeBucket(*bucket, layout);
+      DecodeWithMeta(*bucket, layout);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectBitExact(points, *back);
 }
@@ -91,11 +100,11 @@ TEST(BucketCodecTest, UniformSchemaUsesColumnarResiduals) {
   EXPECT_NE(mixed_data->AsDocument().Get("res"), nullptr);
 
   const Result<std::vector<bson::Document>> back_cols =
-      DecodeBucket(*cols_bucket, layout);
+      DecodeWithMeta(*cols_bucket, layout);
   ASSERT_TRUE(back_cols.ok());
   ExpectBitExact(uniform, *back_cols);
   const Result<std::vector<bson::Document>> back_res =
-      DecodeBucket(*res_bucket, layout);
+      DecodeWithMeta(*res_bucket, layout);
   ASSERT_TRUE(back_res.ok()) << back_res.status().ToString();
   ExpectBitExact(mixed, *back_res);
 }
@@ -137,7 +146,7 @@ TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
     sel.rects.push_back(geo::Rect{{lon, lat}, {lon, lat}});
     bool selected = false;
     const Result<std::vector<bson::Document>> one =
-        DecodeBucket(*bucket, layout, &sel, &selected);
+        DecodeWithMeta(*bucket, layout, &sel, &selected);
     ASSERT_TRUE(one.ok()) << one.status().ToString();
     EXPECT_TRUE(selected);
     ExpectBitExact({points[i]}, *one);
@@ -170,7 +179,7 @@ TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
       mutated_data.Set(name, bson::Value::String(column.substr(0, cut)));
       mutated.Set(kBucketDataField,
                   bson::Value::MakeDocument(std::move(mutated_data)));
-      const auto result = DecodeBucket(mutated, layout);
+      const auto result = DecodeWithMeta(mutated, layout);
       EXPECT_FALSE(result.ok()) << "column " << name << " cut " << cut;
     }
   }
@@ -209,7 +218,7 @@ TEST(BucketCodecTest, RandomizedRoundTrip) {
     const Result<bson::Document> bucket = EncodeBucket(points, layout);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
     const Result<std::vector<bson::Document>> back =
-        DecodeBucket(*bucket, layout);
+        DecodeWithMeta(*bucket, layout);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectBitExact(points, *back);
   }

@@ -7,12 +7,19 @@
 
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bson/codec.h"
 #include "cluster/cluster.h"
+#include "common/lz.h"
 #include "common/rng.h"
 #include "storage/checkpoint.h"
+#include "storage/wal.h"
 #include "temp_dir.h"
 
 namespace stix::cluster {
@@ -155,27 +162,183 @@ TEST_F(SnapshotTest, RestoredClusterAcceptsNewInserts) {
   EXPECT_EQ((*again)->total_documents(), saved + 1);
 }
 
+uint32_t U32At(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+// Offset just past the block stream starting at `at` (its terminator
+// included).
+size_t SkipBlocks(const std::string& image, size_t at) {
+  while (U32At(image, at) != 0) at += 12 + U32At(image, at + 4);
+  return at + 4;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 // Regression: recovery used to skip a checkpoint that failed to load and
 // replay only the WAL — which was truncated at that very checkpoint — so a
 // single flipped byte restored an almost empty cluster and reported OK.
+// The header and the index section headers sit outside the block frames
+// and carry their own CRC: a flipped LSN or multikey byte fails too.
 TEST_F(SnapshotTest, DetectsCorruption) {
   ASSERT_TRUE(source_->Checkpoint().ok());
   for (int i = 1200; i < 1210; ++i) {
     ASSERT_TRUE(source_->Insert(MakeDoc(i)).ok());
   }
-  // Flip one byte inside shard 1's first document block.
   const std::string path = ImagePath(1);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  char byte;
-  f.seekg(64);
-  f.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x5A);
-  f.seekp(64);
-  f.write(&byte, 1);
-  f.close();
+  const std::string pristine = ReadFile(path);
+  // Header: magic(8) version(4) lsn(8) max_record_id(8) num_docs(8) crc(4);
+  // then the document blocks, the index count and its crc, and the first
+  // index section header: name_len(4) name multikey(1) num_entries(8).
+  constexpr size_t kLsnAt = 12;
+  const size_t index_at = SkipBlocks(pristine, 40) + 8;
+  const size_t multikey_at = index_at + 4 + U32At(pristine, index_at);
+  ASSERT_LT(multikey_at, pristine.size());
+  ASSERT_EQ(pristine[multikey_at], 0) << "first index is not multikey";
+  const std::vector<std::pair<const char*, size_t>> cases = {
+      {"document block", 64}, {"header lsn", kLsnAt},
+      {"multikey byte", multikey_at}};
+  for (const auto& [what, at] : cases) {
+    std::string flipped = pristine;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    WriteFile(path, flipped);
+    const Result<std::unique_ptr<Cluster>> restored = Restore();
+    EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+        << what << ": " << restored.status().ToString();
+  }
+  WriteFile(path, pristine);
   const Result<std::unique_ptr<Cluster>> restored = Restore();
-  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
-      << restored.status().ToString();
+  EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+}
+
+// Number of blocks in the block stream starting at `at`.
+int CountBlocks(const std::string& image, size_t at) {
+  int blocks = 0;
+  for (; U32At(image, at) != 0; at += 12 + U32At(image, at + 4)) ++blocks;
+  return blocks;
+}
+
+// Readers parse one decompressed block at a time; an image whose sections
+// span several blocks still comes back entry for entry.
+TEST_F(SnapshotTest, MultiBlockImageRoundTrips) {
+  storage::Collection collection;
+  storage::BTree btree;
+  Rng rng(77);
+  for (int i = 0; i < 4000; ++i) {
+    bson::Document doc = MakeDoc(i);
+    doc.Append("noise", Value::String(std::to_string(rng.Next())));
+    const storage::RecordId rid = collection.records().Insert(std::move(doc));
+    for (int k = 0; k < 8; ++k) {
+      btree.Insert(std::to_string(rng.Next()) + "/" + std::to_string(i), rid);
+    }
+  }
+  const stix::testing::TempDir dir("ckpt_blocks");
+  ASSERT_TRUE(storage::WriteCheckpoint(collection,
+                                       {{"noise_1", true, &btree}}, 7,
+                                       dir.path())
+                  .ok());
+  const std::string path = storage::CheckpointPath(dir.path(), 7);
+  const std::string image = ReadFile(path);
+  EXPECT_GT(CountBlocks(image, 40), 1);
+  const size_t index_at = SkipBlocks(image, 40) + 8;
+  EXPECT_GT(CountBlocks(image, index_at + 4 + U32At(image, index_at) + 13),
+            1);
+
+  const Result<storage::CheckpointImage> loaded =
+      storage::LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->lsn, 7u);
+  EXPECT_EQ(loaded->collection.records().num_records(), 4000u);
+  collection.records().ForEach(
+      [&](storage::RecordId rid, const bson::Document& doc) {
+        const bson::Document* back = loaded->collection.records().Get(rid);
+        ASSERT_NE(back, nullptr) << rid;
+        EXPECT_EQ(bson::EncodeBson(*back), bson::EncodeBson(doc)) << rid;
+      });
+  ASSERT_EQ(loaded->indexes.size(), 1u);
+  const storage::CheckpointIndexImage& index = loaded->indexes[0];
+  EXPECT_EQ(index.name, "noise_1");
+  EXPECT_TRUE(index.multikey);
+  ASSERT_EQ(index.entries.size(), btree.num_entries());
+  size_t i = 0;
+  for (storage::BTree::Cursor cur = btree.First(); cur.Valid(); cur.Next()) {
+    EXPECT_EQ(index.entries[i].first, cur.key());
+    EXPECT_EQ(index.entries[i].second, cur.rid());
+    ++i;
+  }
+}
+
+// The writer never splits an entry across blocks, so a reader that parses
+// block by block rejects an image where one does.
+TEST_F(SnapshotTest, RejectsEntryAcrossBlocks) {
+  const auto put32 = [](uint32_t v, std::string* out) {
+    for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto put64 = [](uint64_t v, std::string* out) {
+    for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto block = [&](std::string_view raw, std::string* out) {
+    const std::string comp = LzCompress(raw);
+    put32(static_cast<uint32_t>(raw.size()), out);
+    put32(static_cast<uint32_t>(comp.size()), out);
+    put32(storage::Crc32(comp), out);
+    *out += comp;
+  };
+  // One document entry: u64 rid | u32 len | BSON.
+  const std::string bson_bytes = bson::EncodeBson(MakeDoc(1));
+  std::string entry;
+  put64(1, &entry);
+  put32(static_cast<uint32_t>(bson_bytes.size()), &entry);
+  entry += bson_bytes;
+  const auto image = [&](const std::vector<std::string_view>& blocks) {
+    std::string out("STIXCKP1");
+    put32(2, &out);
+    put64(5, &out);  // lsn
+    put64(1, &out);  // max_record_id
+    put64(1, &out);  // num_docs
+    put32(storage::Crc32(out), &out);
+    for (const std::string_view raw : blocks) block(raw, &out);
+    put32(0, &out);
+    std::string count;
+    put32(0, &count);
+    put32(storage::Crc32(count), &count);
+    return out + count;
+  };
+  const stix::testing::TempDir dir("ckpt_straddle");
+  const std::string path = storage::CheckpointPath(dir.path(), 5);
+  const std::string_view whole = entry;
+
+  WriteFile(path, image({whole}));
+  const Result<storage::CheckpointImage> ok = storage::LoadCheckpoint(path);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->collection.records().num_records(), 1u);
+
+  for (const size_t cut : {size_t{6}, size_t{20}}) {
+    WriteFile(path, image({whole.substr(0, cut), whole.substr(cut)}));
+    EXPECT_EQ(storage::LoadCheckpoint(path).status().code(),
+              StatusCode::kCorruption)
+        << "cut at " << cut;
+    EXPECT_EQ(storage::ScanCheckpointDocuments(
+                  path, [](storage::RecordId, std::string_view) {
+                    return Status::OK();
+                  })
+                  .code(),
+              StatusCode::kCorruption)
+        << "cut at " << cut;
+  }
 }
 
 TEST_F(SnapshotTest, RejectsWrongMagicAndMissingFile) {

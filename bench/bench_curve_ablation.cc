@@ -23,7 +23,7 @@
 // the covering is counted as a violation and fails the --check gate. With
 // --json=FILE the table is written as BENCH_curve.json; --check turns the
 // report into a gate (>= 4 curves on both workloads, zero soundness/budget
-// violations, and EntropyGeoHash beating plain Z-order/GeoHash on
+// violations, and egeohash beating plain Z-order/GeoHash on
 // keys-examined for the hotspot workload).
 
 #include <algorithm>

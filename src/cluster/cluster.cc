@@ -159,14 +159,7 @@ Status Cluster::Insert(bson::Document doc) {
     const uint64_t doc_bytes = doc.ApproxBsonSize();
     // A bucket document carries many logical points; everything else is
     // one. The balancer's point-weighted pick reads this.
-    uint64_t doc_points = 1;
-    if (storage::IsBucketDocument(doc)) {
-      if (const Result<storage::BucketMeta> meta =
-              storage::ParseBucketMeta(doc);
-          meta.ok()) {
-        doc_points = meta->num_points;
-      }
-    }
+    const uint64_t doc_points = storage::StoredPointCount(doc);
 
     Result<storage::RecordId> rid =
         shards_[static_cast<size_t>(chunk.shard_id)]->Insert(std::move(doc));

@@ -246,16 +246,9 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
     const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
     shard->collection().records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
-          uint64_t points = 1;
-          if (storage::IsBucketDocument(doc)) {
-            if (const Result<storage::BucketMeta> meta =
-                    storage::ParseBucketMeta(doc);
-                meta.ok()) {
-              points = meta->num_points;
-            }
-          }
           const uint64_t bytes = doc.ApproxBsonSize();
-          all.push_back({new_pattern.KeyOf(doc), bytes, points});
+          all.push_back({new_pattern.KeyOf(doc), bytes,
+                         storage::StoredPointCount(doc)});
           total_bytes += bytes;
         });
   }

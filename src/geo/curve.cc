@@ -2,9 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 
 namespace stix::geo {
+namespace {
+
+// Equi-depth boundaries over one axis: edge i sits at the i/n quantile of
+// the sorted sample. Duplicate quantiles (heavy ties) produce empty cells,
+// which are harmless: the mapping stays monotone and the covering just
+// carries a few zero-width members. Endpoints are pinned by GridMapping.
+std::vector<double> EquiDepthEdges(std::vector<double> values, uint32_t n,
+                                   double lo, double hi) {
+  std::vector<double> edges(static_cast<size_t>(n) + 1);
+  edges.front() = lo;
+  edges.back() = hi;
+  std::sort(values.begin(), values.end());
+  for (uint32_t i = 1; i < n; ++i) {
+    const size_t idx = static_cast<size_t>(
+        (static_cast<uint64_t>(i) * values.size()) / n);
+    edges[i] = values[std::min(idx, values.size() - 1)];
+  }
+  return edges;
+}
+
+}  // namespace
 
 const char* CurveKindName(CurveKind kind) {
   switch (kind) {
@@ -66,6 +88,9 @@ uint32_t GridMapping::EdgeToCell(const std::vector<double>& edges,
   // Cell i spans [edges[i], edges[i+1]); the last cell is closed on both
   // sides. Searching only the interior boundaries clamps out-of-domain
   // values (and the max edge itself) into the boundary cells for free.
+  // NaN compares false against every boundary, so it is sent to cell 0
+  // explicitly, as the uniform mapping does.
+  if (std::isnan(v)) return 0;
   const auto first = edges.begin() + 1;
   const auto last = edges.end() - 1;
   return static_cast<uint32_t>(std::upper_bound(first, last, v) - first);
@@ -74,7 +99,8 @@ uint32_t GridMapping::EdgeToCell(const std::vector<double>& edges,
 uint32_t GridMapping::LonToX(double lon) const {
   if (warped()) return EdgeToCell(x_edges_, lon);
   const double t = (lon - domain_.lo.lon) / cell_w_;
-  if (t <= 0.0) return 0;
+  // Written negated so NaN lands in cell 0 instead of reaching the cast.
+  if (!(t > 0.0)) return 0;
   const uint32_t max = grid_size() - 1;
   // Clamp in double space *before* the integer cast: casting a value at or
   // beyond 2^32 to uint32_t is undefined, and the domain's max edge
@@ -86,7 +112,7 @@ uint32_t GridMapping::LonToX(double lon) const {
 uint32_t GridMapping::LatToY(double lat) const {
   if (warped()) return EdgeToCell(y_edges_, lat);
   const double t = (lat - domain_.lo.lat) / cell_h_;
-  if (t <= 0.0) return 0;
+  if (!(t > 0.0)) return 0;
   const uint32_t max = grid_size() - 1;
   if (t >= static_cast<double>(max)) return max;
   return static_cast<uint32_t>(t);
@@ -114,6 +140,25 @@ Rect GridMapping::BlockRect(uint32_t x, uint32_t y, uint32_t size) const {
   r.hi.lat = y1 == n ? domain_.hi.lat
                      : domain_.lo.lat + cell_h_ * static_cast<double>(y1);
   return r;
+}
+
+GridMapping FitEquiDepthMapping(int order, const Rect& domain,
+                                const std::vector<Point>& sample) {
+  std::vector<double> lons, lats;
+  lons.reserve(sample.size());
+  lats.reserve(sample.size());
+  for (const Point& p : sample) {
+    // std::sort needs a strict weak order, which a NaN breaks.
+    if (!std::isfinite(p.lon) || !std::isfinite(p.lat)) continue;
+    lons.push_back(std::clamp(p.lon, domain.lo.lon, domain.hi.lon));
+    lats.push_back(std::clamp(p.lat, domain.lo.lat, domain.hi.lat));
+  }
+  if (lons.empty()) return GridMapping(order, domain);
+  const uint32_t n = static_cast<uint32_t>(1) << order;
+  return GridMapping(
+      order, domain,
+      EquiDepthEdges(std::move(lons), n, domain.lo.lon, domain.hi.lon),
+      EquiDepthEdges(std::move(lats), n, domain.lo.lat, domain.hi.lat));
 }
 
 }  // namespace stix::geo

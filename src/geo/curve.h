@@ -9,42 +9,43 @@
 
 namespace stix::geo {
 
-/// The pluggable 1D linearizations behind hilbertIndex. `kHilbert` is the
-/// paper's choice; the others are the ROADMAP's curve-lab alternatives
+/// The pluggable 1D linearizations behind hilbertIndex. Each kind is one of
+/// three orders (Hilbert, Z-order, Onion) over a GridMapping; `kHilbert` is
+/// the paper's choice, the others are the ROADMAP's curve-lab alternatives
 /// (Onion: Xu/Nguyen/Tirthapura; entropy-maximizing GeoHash: Arnold — see
-/// PAPERS.md). Every kind is a Curve2D, so stores, covering, fuzzing and
-/// benches treat them uniformly.
+/// PAPERS.md). Every kind is a Curve2D built by MakeCurve, so stores,
+/// covering, fuzzing and benches treat them uniformly.
 enum class CurveKind {
-  kHilbert,   ///< Hilbert curve (paper default).
-  kZOrder,    ///< Z-order / Morton (GeoHash bit layout).
-  kOnion,     ///< Onion curve: concentric rings, near-optimal clustering.
-  kEGeoHash,  ///< Z-order over skew-fitted equi-depth cell boundaries.
+  kHilbert,   ///< Hilbert order over a uniform grid (paper default).
+  kZOrder,    ///< Z-order / Morton over a uniform grid (GeoHash layout).
+  kOnion,     ///< Onion order over a uniform grid: concentric rings.
+  kEGeoHash,  ///< Z-order over an equi-depth grid fitted to a sample.
 };
 
 /// Canonical lower-case name ("hilbert", "zorder", "onion", "egeohash") —
-/// matches Curve2D::name() of the corresponding implementation.
+/// what Curve2D::name() reports for a curve built as that kind.
 const char* CurveKindName(CurveKind kind);
 
 /// Parses a CurveKindName back; returns false on unknown names.
 bool CurveKindFromName(const char* name, CurveKind* out);
 
 /// Maps geographic coordinates onto a 2^order x 2^order integer grid over a
-/// domain rectangle. Curves (Hilbert, Z-order, Onion) and the GeoHash cells
-/// share this mapping, so `hil` vs `hil*` differ only in the domain passed
-/// here (globe vs dataset MBR) — exactly the paper's setup.
+/// domain rectangle. Every curve order and the GeoHash cells sit on this
+/// mapping, so `hil` vs `hil*` differ only in the domain passed here (globe
+/// vs dataset MBR) — exactly the paper's setup.
 ///
 /// By default cells are uniform (domain / grid_size per axis). A mapping may
 /// instead carry per-axis *edge tables* — monotone boundary arrays of
-/// grid_size()+1 entries fitted to the data distribution (the
-/// entropy-maximizing GeoHash) — in which case LonToX/LatToY binary-search
-/// the tables and BlockRect reads extents straight from them, keeping the
-/// two views of a cell bit-identical.
+/// grid_size()+1 entries fitted to the data distribution (see
+/// FitEquiDepthMapping) — in which case LonToX/LatToY binary-search the
+/// tables and BlockRect reads extents straight from them, keeping the two
+/// views of a cell bit-identical.
 ///
 /// Clamping contract (the covering layer and the key generator both rely on
-/// it): out-of-domain coordinates clamp to the boundary cells, and a point
+/// it): out-of-domain coordinates clamp to the boundary cells, a point
 /// exactly on the domain's max edge lands in the *last* cell — whose
 /// BlockRect extent ends exactly at domain().hi, so the point lies inside
-/// its own cell's rectangle.
+/// its own cell's rectangle — and a NaN coordinate lands in cell 0.
 class GridMapping {
  public:
   GridMapping(int order, const Rect& domain);
@@ -85,28 +86,41 @@ class GridMapping {
   std::vector<double> y_edges_;
 };
 
-/// A 2D space-filling curve over a grid: a bijection between cells (x, y)
-/// and positions d in [0, 4^order).
+/// Equi-depth mapping fit (Arnold's entropy-maximizing GeoHash): per axis,
+/// sorts the sample's coordinates (clamped into `domain`) and places
+/// boundary i at the i/grid_size quantile, so each column (row) holds about
+/// the same number of sample points. Under skew, hot regions get many small
+/// cells and empty oceans collapse into a few wide ones. Sample points with
+/// a non-finite coordinate are skipped; with no finite point left the
+/// mapping is the uniform GridMapping(order, domain).
+GridMapping FitEquiDepthMapping(int order, const Rect& domain,
+                                const std::vector<Point>& sample);
+
+/// A 2D space-filling curve: one order — a bijection between cells (x, y)
+/// and positions d in [0, 4^order) — over a GridMapping. The order is the
+/// subclass (HilbertCurve, ZOrderCurve, OnionCurve); the mapping and the
+/// CurveKind it reports are constructor arguments, so `egeohash` is simply
+/// the Z-order over a fitted mapping (see MakeCurve).
 ///
-/// Curves advertising quadtree_blocks() (Hilbert, Z-order, EGeoHash)
-/// guarantee the quadtree-block property: every aligned 2^k x 2^k block
-/// occupies a contiguous, 4^k-aligned range of d values — which makes
-/// covering a query rectangle cheap by quadtree descent. Curves without it
-/// (Onion) must instead be *continuous* (consecutive d values are
-/// edge-adjacent cells) so the covering layer can fall back to its
-/// boundary-walk strategy (see covering.h).
+/// Orders advertising quadtree_blocks() (Hilbert, Z-order) guarantee the
+/// quadtree-block property: every aligned 2^k x 2^k block occupies a
+/// contiguous, 4^k-aligned range of d values — which makes covering a query
+/// rectangle cheap by quadtree descent. Orders without it (Onion) must
+/// instead be *continuous* (consecutive d values are edge-adjacent cells) so
+/// the covering layer can fall back to its boundary-walk strategy (see
+/// covering.h). Both hold in cell space, whatever the mapping.
 class Curve2D {
  public:
-  Curve2D(int order, const Rect& domain) : grid_(order, domain) {}
-  explicit Curve2D(GridMapping grid) : grid_(std::move(grid)) {}
+  Curve2D(CurveKind kind, GridMapping grid)
+      : kind_(kind), grid_(std::move(grid)) {}
   virtual ~Curve2D() = default;
 
   virtual uint64_t XyToD(uint32_t x, uint32_t y) const = 0;
   virtual void DToXy(uint64_t d, uint32_t* x, uint32_t* y) const = 0;
 
-  /// Human-readable curve name for benchmark tables and explain() — equals
-  /// CurveKindName of the implementing kind.
-  virtual const char* name() const = 0;
+  /// Curve name for benchmark tables, explain() and metrics: the
+  /// CurveKindName of the kind this curve was built as.
+  const char* name() const { return CurveKindName(kind_); }
 
   /// Whether aligned blocks map to aligned contiguous d-ranges (see class
   /// comment). Selects the covering strategy.
@@ -124,6 +138,7 @@ class Curve2D {
   }
 
  private:
+  CurveKind kind_;
   GridMapping grid_;
 };
 

@@ -1,6 +1,5 @@
 #include "geo/curve_registry.h"
 
-#include "geo/egeohash.h"
 #include "geo/hilbert.h"
 #include "geo/onion.h"
 #include "geo/zorder.h"
@@ -12,13 +11,14 @@ std::unique_ptr<Curve2D> MakeCurve(CurveKind kind, int order,
                                    const std::vector<Point>& fit_sample) {
   switch (kind) {
     case CurveKind::kHilbert:
-      return std::make_unique<HilbertCurve>(order, domain);
+      return std::make_unique<HilbertCurve>(kind, GridMapping(order, domain));
     case CurveKind::kZOrder:
-      return std::make_unique<ZOrderCurve>(order, domain);
+      return std::make_unique<ZOrderCurve>(kind, GridMapping(order, domain));
     case CurveKind::kOnion:
-      return std::make_unique<OnionCurve>(order, domain);
+      return std::make_unique<OnionCurve>(kind, GridMapping(order, domain));
     case CurveKind::kEGeoHash:
-      return std::make_unique<EntropyGeoHashCurve>(order, domain, fit_sample);
+      return std::make_unique<ZOrderCurve>(
+          kind, FitEquiDepthMapping(order, domain, fit_sample));
   }
   return nullptr;
 }

@@ -8,12 +8,14 @@
 
 namespace stix::geo {
 
-/// Builds the Curve2D implementation for `kind` over a 2^order grid spanning
-/// `domain`. `fit_sample` is consulted only by kEGeoHash (equi-depth
-/// boundary fit; empty = uniform boundaries — plain GeoHash cell layout).
-/// This is the one place that knows every concrete curve class; stores,
-/// benches and the fuzzer go through it so a new curve is one registry case
-/// away from running everywhere.
+/// Builds the curve for `kind`: one order over a 2^order grid spanning
+/// `domain`. hilbert, zorder and onion take a uniform GridMapping; egeohash
+/// is the zorder order over FitEquiDepthMapping(order, domain, fit_sample)
+/// (empty = uniform boundaries, i.e. plain GeoHash cells). Every other kind
+/// ignores `fit_sample`. The curve reports `kind`'s name. This is the one
+/// place that pairs orders with mappings; stores, benches and the fuzzer go
+/// through it, so a new pairing is one registry case away from running
+/// everywhere.
 std::unique_ptr<Curve2D> MakeCurve(CurveKind kind, int order,
                                    const Rect& domain,
                                    const std::vector<Point>& fit_sample = {});

@@ -11,13 +11,15 @@ namespace stix::geo {
 /// hilbertIndex values.
 class HilbertCurve : public Curve2D {
  public:
-  /// `order` bits per dimension; `domain` is the geographic extent the grid
-  /// spans (globe for `hil`, dataset MBR for `hil*`).
-  HilbertCurve(int order, const Rect& domain) : Curve2D(order, domain) {}
+  using Curve2D::Curve2D;
+  /// `order` bits per dimension over a uniform grid; `domain` is the
+  /// geographic extent the grid spans (globe for `hil`, dataset MBR for
+  /// `hil*`).
+  HilbertCurve(int order, const Rect& domain)
+      : Curve2D(CurveKind::kHilbert, GridMapping(order, domain)) {}
 
   uint64_t XyToD(uint32_t x, uint32_t y) const override;
   void DToXy(uint64_t d, uint32_t* x, uint32_t* y) const override;
-  const char* name() const override { return "hilbert"; }
 };
 
 }  // namespace stix::geo

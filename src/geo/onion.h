@@ -19,11 +19,12 @@ namespace stix::geo {
 /// boundary-walk strategy (covering.h).
 class OnionCurve : public Curve2D {
  public:
-  OnionCurve(int order, const Rect& domain) : Curve2D(order, domain) {}
+  using Curve2D::Curve2D;
+  OnionCurve(int order, const Rect& domain)
+      : Curve2D(CurveKind::kOnion, GridMapping(order, domain)) {}
 
   uint64_t XyToD(uint32_t x, uint32_t y) const override;
   void DToXy(uint64_t d, uint32_t* x, uint32_t* y) const override;
-  const char* name() const override { return "onion"; }
   bool quadtree_blocks() const override { return false; }
 };
 

@@ -34,8 +34,7 @@ ObservedValues ExtractStatsValues(const bson::Document& doc,
   out.hilbert = Int64At(doc, ShardStatistics::kHilbertPath);
   if (storage::IsBucketDocument(doc)) {
     out.is_bucket = true;
-    auto meta = storage::ParseBucketMeta(doc);
-    if (meta.ok()) out.points = std::max<uint32_t>(1, meta->num_points);
+    out.points = std::max<uint32_t>(1, storage::StoredPointCount(doc));
     // Bucket documents have no location point; the 2dsphere key space is
     // not observable from bucket-level fields.
     return out;

@@ -186,13 +186,8 @@ Result<std::unique_ptr<StStore>> StStore::Recover(
   for (const auto& shard : store->cluster_->shards()) {
     shard->collection().records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
-          if (!storage::IsBucketDocument(doc)) {
-            ++recovered_points;
-            return;
-          }
-          const Result<storage::BucketMeta> meta =
-              storage::ParseBucketMeta(doc);
-          if (meta.ok()) recovered_points += meta->num_points;
+          recovered_points += storage::StoredPointCount(doc);
+          if (!storage::IsBucketDocument(doc)) return;
           const bson::Value* lsns = doc.Get(storage::kBucketWalLsnsField);
           if (lsns == nullptr || lsns->type() != bson::Type::kArray) return;
           for (const bson::Value& v : lsns->AsArray()) {

@@ -586,6 +586,12 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
   return out;
 }
 
+uint32_t StoredPointCount(const bson::Document& doc) {
+  if (!IsBucketDocument(doc)) return 1;
+  const Result<BucketMeta> meta = ParseBucketMeta(doc);
+  return meta.ok() ? meta->num_points : 1;
+}
+
 namespace {
 
 /// Both sides sorted and disjoint: true iff some range of `a` overlaps

@@ -160,6 +160,12 @@ Result<std::vector<bson::Document>> DecodeBucket(
 /// Decodes only the pruning metadata (no column access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);
 
+/// Logical points a stored document carries: a bucket's meta.n, else 1
+/// (row documents, and buckets whose meta does not parse). Chunk
+/// accounting, the reshard split sampler, recovery and the shard
+/// statistics all count points by this rule.
+uint32_t StoredPointCount(const bson::Document& doc);
+
 }  // namespace stix::storage
 
 #endif  // STIX_STORAGE_BUCKET_H_

@@ -42,7 +42,8 @@ Result<bson::Document> ParseCsvRecord(std::string_view line,
       !ParseDouble(columns[schema.latitude_column], &lat)) {
     return Status::InvalidArgument("bad coordinates in CSV record");
   }
-  if (lon < -180.0 || lon > 180.0 || lat < -90.0 || lat > 90.0) {
+  // Written as "not inside" so a NaN coordinate is rejected too.
+  if (!(lon >= -180.0 && lon <= 180.0 && lat >= -90.0 && lat <= 90.0)) {
     return Status::InvalidArgument("coordinates out of range");
   }
   int64_t millis;

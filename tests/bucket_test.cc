@@ -128,6 +128,25 @@ TEST(BucketCodecTest, MetaMatchesPoints) {
   EXPECT_DOUBLE_EQ(meta->mbr.hi.lat, 37.9 + 47 * 1e-4);
 }
 
+TEST(BucketCodecTest, StoredPointCountIsMetaNElseOne) {
+  const BucketLayout layout;
+  const std::vector<bson::Document> points = MakeWindowPoints(layout, 48);
+  EXPECT_EQ(StoredPointCount(points[0]), 1u);  // a row document
+  const Result<bson::Document> bucket = EncodeBucket(points, layout);
+  ASSERT_TRUE(bucket.ok());
+  EXPECT_EQ(StoredPointCount(*bucket), 48u);
+  // Still a bucket, but its meta does not parse: counts as one point.
+  for (bson::Value garbled :
+       {bson::Value::String("garbled"),
+        bson::Value::MakeDocument(bson::Document())}) {
+    bson::Document mutated = *bucket;
+    mutated.Set(kBucketMetaField, std::move(garbled));
+    ASSERT_TRUE(IsBucketDocument(mutated));
+    ASSERT_FALSE(ParseBucketMeta(mutated).ok());
+    EXPECT_EQ(StoredPointCount(mutated), 1u);
+  }
+}
+
 TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
   // A selection pinned to one point's exact (ts, lon, lat) — a degenerate
   // time range and a zero-area rect — must select that point and no other:

@@ -51,6 +51,16 @@ TEST(CsvParseTest, RejectsBadRecords) {
       ParseCsvRecord("1,23.5,37.9,yesterday", CsvSchema{}).ok());
   EXPECT_FALSE(
       ParseCsvRecord("1,999.0,37.9,2018-07-01T00:00:00", CsvSchema{}).ok());
+  // Non-finite coordinates are out of range too (a NaN fails every
+  // comparison, so a plain range check would let it through).
+  for (const char* line :
+       {"v1,nan,38.0,1577836800000", "v1,23.5,nan,1577836800000",
+        "v1,-nan,38.0,1577836800000", "v1,NaN,NAN,1577836800000",
+        "v1,inf,38.0,1577836800000", "v1,23.5,-inf,1577836800000"}) {
+    const Result<bson::Document> doc = ParseCsvRecord(line, CsvSchema{});
+    ASSERT_FALSE(doc.ok()) << line;
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument) << line;
+  }
 }
 
 class CsvFileTest : public ::testing::Test {

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -8,7 +10,6 @@
 #include "common/rng.h"
 #include "geo/covering.h"
 #include "geo/curve_registry.h"
-#include "geo/egeohash.h"
 #include "geo/geohash.h"
 #include "geo/hilbert.h"
 #include "geo/onion.h"
@@ -750,7 +751,7 @@ TEST(CurveRegistryTest, NamesRoundTripThroughTheRegistry) {
 }
 
 TEST(CurveRegistryTest, EGeoHashUsesTheFitSample) {
-  // The registry threads the fit sample only into EntropyGeoHash; all other
+  // The registry threads the fit sample only into egeohash; all other
   // curves ignore it and keep uniform boundaries.
   std::vector<Point> sample;
   Rng rng(52);
@@ -767,6 +768,25 @@ TEST(CurveRegistryTest, EGeoHashUsesTheFitSample) {
   }
   EXPECT_FALSE(MakeCurve(CurveKind::kEGeoHash, 5, domain)->grid().warped())
       << "no sample -> uniform boundaries (plain GeoHash cells)";
+  // Unfitted, egeohash is the zorder order over the same uniform grid: the
+  // same key for every cell, and the same cell for every point.
+  for (const int order : {1, 3, 6}) {
+    const auto egeohash = MakeCurve(CurveKind::kEGeoHash, order, domain);
+    const auto zorder = MakeCurve(CurveKind::kZOrder, order, domain);
+    EXPECT_STREQ(egeohash->name(), "egeohash");
+    const uint32_t n = egeohash->grid().grid_size();
+    for (uint32_t x = 0; x < n; ++x) {
+      for (uint32_t y = 0; y < n; ++y) {
+        ASSERT_EQ(egeohash->XyToD(x, y), zorder->XyToD(x, y))
+            << "order " << order << " cell (" << x << "," << y << ")";
+      }
+    }
+    for (int i = 0; i < 200; ++i) {
+      const double lon = rng.NextDouble(domain.lo.lon, domain.hi.lon);
+      const double lat = rng.NextDouble(domain.lo.lat, domain.hi.lat);
+      ASSERT_EQ(egeohash->PointToD(lon, lat), zorder->PointToD(lon, lat));
+    }
+  }
 }
 
 // ---------- max-edge clamp agreement (the GridMapping bugfix) ----------
@@ -775,16 +795,34 @@ TEST(GridMappingTest, MaxEdgeClampAgreesWithBlockExtents) {
   // The bug class this pins down: LonToX(domain.hi.lon) must land in the
   // last cell (not one past it, and not UB for huge inputs), and the last
   // cell's BlockRect must extend exactly to domain.hi so covering membership
-  // and key generation agree at the far edge. Orders 1..16, globe and
-  // dataset-MBR domains, every registered curve.
+  // and key generation agree at the far edge. A NaN coordinate lands in
+  // cell 0 (never a NaN-to-integer cast). Orders 1..16, globe and
+  // dataset-MBR domains, every registered curve, egeohash both unfitted
+  // and fitted.
   const Rect domains[] = {GlobeRect(), Rect{{23.0, 37.0}, {25.0, 39.0}},
                           Rect{{-74.3, 40.4}, {-73.6, 41.0}}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(9107);
   for (const Rect& domain : domains) {
+    std::vector<Point> sample;
+    for (int i = 0; i < 256; ++i) {
+      sample.push_back({rng.NextDouble(domain.lo.lon, domain.hi.lon),
+                        rng.NextDouble(domain.lo.lat, domain.hi.lat)});
+    }
     for (int order = 1; order <= 16; ++order) {
+      std::vector<std::unique_ptr<Curve2D>> curves;
       for (const CurveKind kind : AllCurveKinds()) {
-        const auto curve = MakeCurve(kind, order, domain);
+        curves.push_back(MakeCurve(kind, order, domain));
+      }
+      curves.push_back(MakeCurve(CurveKind::kEGeoHash, order, domain, sample));
+      ASSERT_TRUE(curves.back()->grid().warped());
+      for (const auto& curve : curves) {
         const GridMapping& grid = curve->grid();
         const uint32_t n = grid.grid_size();
+        ASSERT_EQ(grid.LonToX(nan), 0u) << curve->name() << " order " << order;
+        ASSERT_EQ(grid.LatToY(nan), 0u) << curve->name() << " order " << order;
+        ASSERT_EQ(curve->PointToD(nan, nan), curve->XyToD(0, 0))
+            << curve->name() << " order " << order;
         ASSERT_EQ(grid.LonToX(domain.hi.lon), n - 1)
             << curve->name() << " order " << order;
         ASSERT_EQ(grid.LatToY(domain.hi.lat), n - 1)
@@ -812,6 +850,10 @@ TEST(GridMappingTest, MaxEdgeClampAgreesWithBlockExtents) {
       }
     }
   }
+  // The 2dsphere key goes through the same mapping.
+  const GeoHash geohash;
+  EXPECT_EQ(geohash.Encode(20.0, nan), geohash.Encode(20.0, -90.0));
+  EXPECT_EQ(geohash.Encode(nan, nan), 0u);
 }
 
 // ---------- warped (entropy-maximizing) mapping ----------
@@ -832,8 +874,7 @@ TEST(EGeoHashTest, FitMappingBalancesPointsPerCell) {
     }
   }
   const int order = 3;  // 8x8 cells
-  const GridMapping grid =
-      EntropyGeoHashCurve::FitMapping(order, GlobeRect(), sample);
+  const GridMapping grid = FitEquiDepthMapping(order, GlobeRect(), sample);
   ASSERT_TRUE(grid.warped());
   const uint32_t n = grid.grid_size();
   std::vector<int> per_x(n, 0), per_y(n, 0);
@@ -868,8 +909,8 @@ TEST(EGeoHashTest, WarpedCellMembershipAgreesWithBlockRects) {
                       37.9 + rng.NextGaussian() * 0.2});
   }
   const Rect domain{{20.0, 35.0}, {28.0, 41.0}};
-  const EntropyGeoHashCurve curve(8, domain, sample);
-  const GridMapping& grid = curve.grid();
+  const auto curve = MakeCurve(CurveKind::kEGeoHash, 8, domain, sample);
+  const GridMapping& grid = curve->grid();
   ASSERT_TRUE(grid.warped());
   for (int i = 0; i < 2000; ++i) {
     const double lon = rng.NextDouble(domain.lo.lon, domain.hi.lon);
@@ -881,7 +922,7 @@ TEST(EGeoHashTest, WarpedCellMembershipAgreesWithBlockRects) {
         << "(" << lon << "," << lat << ") cell (" << x << "," << y << ")";
     // And round-trip through the curve lands in the same cell.
     uint32_t rx, ry;
-    curve.DToXy(curve.PointToD(lon, lat), &rx, &ry);
+    curve->DToXy(curve->PointToD(lon, lat), &rx, &ry);
     EXPECT_EQ(rx, x);
     EXPECT_EQ(ry, y);
   }
@@ -912,8 +953,11 @@ TEST(CoveringPropertyTest, EGeoHashFittedAllOrdersGlobeDomain) {
                       37.9 + rng.NextGaussian() * 3.0});
   }
   for (int order = 1; order <= 16; ++order) {
-    const EntropyGeoHashCurve curve(order, GlobeRect(), sample);
-    for (int trial = 0; trial < 3; ++trial) CheckCoveringProperties(curve, rng);
+    const auto curve = MakeCurve(CurveKind::kEGeoHash, order, GlobeRect(),
+                                 sample);
+    for (int trial = 0; trial < 3; ++trial) {
+      CheckCoveringProperties(*curve, rng);
+    }
   }
 }
 

@@ -228,8 +228,9 @@ std::vector<geo::CurveKind> CurveKindsFor(const std::string& curve) {
   return {kind};
 }
 
-// Deterministic fit sample for egeohash stores: every k-th generated point,
-// capped so the equi-depth fit stays cheap at any --docs.
+// Deterministic fit sample every store gets (only egeohash fits a mapping
+// to it): every k-th generated point, capped so the equi-depth fit stays
+// cheap at any --docs.
 std::vector<geo::Point> FitSampleFor(const std::vector<FuzzDoc>& docs) {
   constexpr size_t kMaxSample = 1024;
   const size_t stride =
@@ -1120,9 +1121,7 @@ bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
     (void)geo::CurveKindFromName(config.curve.c_str(),
                                  &options.approach.curve_kind);
   }
-  if (options.approach.curve_kind == geo::CurveKind::kEGeoHash) {
-    options.approach.curve_fit_sample = FitSampleFor(docs);
-  }
+  options.approach.curve_fit_sample = FitSampleFor(docs);
   options.cluster.num_shards = 2 + static_cast<int>(knob_rng.NextBounded(2));
   options.cluster.chunk_max_bytes = 8192 + knob_rng.NextBounded(24 * 1024);
   options.cluster.balance_every_inserts =
@@ -1384,10 +1383,7 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
   std::vector<StStore*> race_stores;
   std::vector<StStore*> cost_stores;
   const std::vector<geo::CurveKind> curve_kinds = CurveKindsFor(config.curve);
-  std::vector<geo::Point> fit_sample;
-  for (const geo::CurveKind kind : curve_kinds) {
-    if (kind == geo::CurveKind::kEGeoHash) fit_sample = FitSampleFor(docs);
-  }
+  const std::vector<geo::Point> fit_sample = FitSampleFor(docs);
   for (const bool bucketed : {false, true}) {
     if (bucketed ? !want_bucket : !want_row) continue;
     for (const query::PlanSelectionMode mode : modes) {
@@ -1401,12 +1397,8 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
           options.approach.kind = kind;
           options.approach.hilbert_order = hilbert_order;
           options.approach.dataset_mbr = mbr;
-          if (curve_backed) {
-            options.approach.curve_kind = curve_kinds[c];
-            if (curve_kinds[c] == geo::CurveKind::kEGeoHash) {
-              options.approach.curve_fit_sample = fit_sample;
-            }
-          }
+          if (curve_backed) options.approach.curve_kind = curve_kinds[c];
+          options.approach.curve_fit_sample = fit_sample;
           options.cluster.num_shards = num_shards;
           options.cluster.chunk_max_bytes = chunk_max_bytes;
           options.cluster.balance_every_inserts = balance_every;

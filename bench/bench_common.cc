@@ -370,7 +370,7 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
 
   const bool bucketed = store.bucketed();
   std::optional<query::BucketFilter> filter;
-  if (bucketed) filter.emplace(expr, store.bucket_catalog()->layout());
+  if (bucketed) filter.emplace(expr);
 
   // Timed: open every image, read and CRC-check every block, decompress
   // it, parse every stored document and answer the query. The files come

@@ -15,33 +15,9 @@ struct Migration {
   int to_shard;
 };
 
-/// Balancer policy options.
-struct BalancerOptions {
-  /// Migrate only when the donor has at least this many more chunks than
-  /// the recipient (MongoDB's migration threshold, scaled down).
-  int imbalance_threshold = 2;
-  /// Sleep between rounds of the background balancer thread
-  /// (Cluster::StartBalancer). Small by default: bench-scale migrations are
-  /// sub-millisecond, so the thread mostly idles on its condition variable.
-  int background_interval_ms = 5;
-  /// Bucketed collections: chunks with equal document counts can differ by
-  /// orders of magnitude in logical points (buckets seal at different
-  /// fills). When set, the imbalance pick moves the donor's *heaviest*
-  /// movable chunk (by Chunk::points) instead of a random one, so data —
-  /// not bucket documents — evens out. The trigger (chunk-count
-  /// threshold) is unchanged. Off by default: row layouts keep the seeded
-  /// random pick bit-for-bit.
-  bool weigh_by_points = false;
-  /// Write-distribution awareness: when the imbalance pick fires, move the
-  /// donor's most *written* movable chunk (Chunk::writes, the per-range
-  /// write counter the router maintains) instead of a random one, so a
-  /// Zipf-hot insert range spreads across shards instead of pinning its
-  /// whole history to wherever it first split. Takes precedence over
-  /// weigh_by_points when both are set and any movable chunk has recorded
-  /// writes (with all-zero counters it falls through, keeping cold
-  /// workloads bit-for-bit reproducible).
-  bool weigh_by_writes = false;
-};
+/// Migrate only when the donor has at least this many more movable chunks
+/// than the recipient (MongoDB's migration threshold, scaled down).
+inline constexpr int kImbalanceThreshold = 2;
 
 /// The zone pinning a chunk, or -1 when no zone touches it. A chunk is
 /// pinned by the first zone its [min, max) range *overlaps* — not merely
@@ -54,21 +30,28 @@ int ZoneForChunk(const std::vector<ZoneRange>& zones, const Chunk& chunk);
 /// cluster applies the moves). Priorities, in order:
 ///  1. zone violations — a chunk whose pinning zone (see ZoneForChunk)
 ///     disagrees with the shard it sits on;
-///  2. plain imbalance — move a random *movable* (zone-free) chunk from the
-///     shard with the most movable chunks to the shard with the fewest.
+///  2. plain imbalance — move a *movable* (zone-free) chunk from the shard
+///     with the most movable chunks to the shard with the fewest, once the
+///     gap reaches kImbalanceThreshold.
 ///     Counts, donor/recipient choice and the threshold all consider only
 ///     movable chunks: pinned chunks can never be moved to fix the
 ///     imbalance they create, and counting them both stalled the balancer
 ///     (donor with a pinned surplus, nothing movable) and hid real movable
 ///     imbalance elsewhere. With no zones every chunk is movable and this
 ///     degenerates to plain chunk counts.
+///     The moved chunk is a random movable one, or with `weigh_by_points`
+///     the donor's *heaviest* movable chunk (by Chunk::points). Bucketed
+///     collections weigh by points: chunks with equal document counts can
+///     differ by orders of magnitude in logical points (buckets seal at
+///     different fills), so data — not bucket documents — evens out. The
+///     trigger (chunk-count threshold) is the same either way.
 /// Returns nullopt when balanced. Randomness comes from the caller's seeded
-/// Rng, so placements are reproducible.
+/// Rng (it also breaks ties among equally heavy chunks), so placements are
+/// reproducible.
 std::optional<Migration> PickNextMigration(const ChunkManager& chunks,
                                            int num_shards,
                                            const std::vector<ZoneRange>& zones,
-                                           const BalancerOptions& options,
-                                           Rng* rng);
+                                           bool weigh_by_points, Rng* rng);
 
 }  // namespace stix::cluster
 

@@ -189,19 +189,8 @@ Status Cluster::Insert(bson::Document doc) {
     }
   }
   if (run_round) {
-    std::optional<Migration> m;
-    {
-      const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-      const std::lock_guard<std::mutex> bl(balance_mu_);
-      // The old table is being drained chunk by chunk; balancing it would
-      // only race the reshard copier over the same documents.
-      if (resharding_in_progress_ || reshard_preparing_) return Status::OK();
-      m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            options_.balancer, &rng_);
-    }
-    if (m.has_value()) {
-      const Status s = MoveChunk(m->chunk_index, m->to_shard);
-      if (!s.ok()) return s;
+    if (const std::optional<Migration> m = PickMigration()) {
+      return MoveChunk(m->chunk_index, m->to_shard);
     }
   }
   return Status::OK();
@@ -478,34 +467,30 @@ void Cluster::Balance() {
     max_rounds = 16 * chunks_->num_chunks() + 64;
   }
   for (size_t round = 0; round < max_rounds; ++round) {
-    std::optional<Migration> m;
-    {
-      const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-      // Reshard owns chunk movement for its whole duration.
-      if (resharding_in_progress_ || reshard_preparing_) return;
-      const std::lock_guard<std::mutex> bl(balance_mu_);
-      m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            options_.balancer, &rng_);
-    }
+    const std::optional<Migration> m = PickMigration();
     if (!m.has_value()) return;
     if (!MoveChunk(m->chunk_index, m->to_shard).ok()) return;
   }
 }
 
+std::optional<Migration> Cluster::PickMigration() {
+  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
+  if (chunks_ == nullptr) return std::nullopt;  // not sharded yet
+  // Reshard owns chunk movement for its whole duration: the old table is
+  // drained chunk by chunk, and balancing it would only race the copier
+  // over the same documents.
+  if (resharding_in_progress_ || reshard_preparing_) return std::nullopt;
+  const std::lock_guard<std::mutex> bl(balance_mu_);
+  return PickNextMigration(*chunks_, options_.num_shards, zones_,
+                           options_.exec.bucket_layout != nullptr, &rng_);
+}
+
 void Cluster::RunBalancerRound() {
-  std::optional<Migration> m;
-  {
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    if (chunks_ == nullptr) return;  // balancer started before sharding
-    // Reshard owns chunk movement for its whole duration.
-    if (resharding_in_progress_ || reshard_preparing_) return;
-    const std::lock_guard<std::mutex> bl(balance_mu_);
-    m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                          options_.balancer, &rng_);
-  }
   // Failures (an enabled balancerMoveChunk fail point, a benign abort) are
   // the background balancer's to swallow: the next round re-picks.
-  if (m.has_value()) (void)MoveChunk(m->chunk_index, m->to_shard);
+  if (const std::optional<Migration> m = PickMigration()) {
+    (void)MoveChunk(m->chunk_index, m->to_shard);
+  }
 }
 
 void Cluster::BalancerMain(int interval_ms) {
@@ -526,7 +511,7 @@ void Cluster::StartBalancer() {
   if (balancer_running_) return;
   balancer_running_ = true;
   balancer_stop_ = false;
-  const int interval_ms = std::max(1, options_.balancer.background_interval_ms);
+  const int interval_ms = std::max(1, options_.background_interval_ms);
   // The balancer occupies one worker of the cluster's long-lived pool for
   // its whole run; query fan-outs share the remaining workers.
   exec_pool_->Submit([this, interval_ms] { BalancerMain(interval_ms); });
@@ -598,8 +583,8 @@ Status Cluster::SyncWals() {
 }
 
 ClusterQueryResult Cluster::Query(const query::ExprPtr& expr) const {
-  // One unbounded getMore per shard — identical to Router::Execute, but
-  // routed through OpenCursor so the drain holds the migration latch.
+  // One unbounded getMore per shard: the classic run-to-completion
+  // scatter/gather is the degenerate case of the streaming cursor.
   CursorOptions full_drain;
   full_drain.batch_size = 0;
   full_drain.limit = 0;
@@ -625,8 +610,7 @@ std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
   std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router, exec_pool_.get(),
-                      options_.parallel_fanout, &profiler_);
+                      exec_pool_.get(), options_.parallel_fanout, &profiler_);
   std::unique_ptr<ClusterCursor> cursor = router.OpenCursor(
       expr, options_.exec, cursor_options, std::move(latch));
   for (const int shard_id : cursor->targets()) {
@@ -674,8 +658,7 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
   // commits, so per-shard query-then-remove stays internally consistent
   // and chunk accounting cannot race.
   const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_);
   if (options_.exec.bucket_layout != nullptr && !options_.exec.raw_buckets) {
     return DeleteBucketsLocked(router, expr);
   }
@@ -725,7 +708,7 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
 Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                                               const query::ExprPtr& expr) {
   const storage::BucketLayout& layout = *options_.exec.bucket_layout;
-  const query::BucketFilter filter(expr, layout);
+  const query::BucketFilter filter(expr);
   query::ExecutorOptions raw_exec = options_.exec;
   raw_exec.raw_buckets = true;
   const query::ExprPtr bucket_expr = Router::RoutingExpr(expr, options_.exec);
@@ -804,8 +787,7 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
 
 std::string Cluster::Explain(const query::ExprPtr& expr) const {
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_);
   bool broadcast = false;
   const std::vector<int> targets = router.TargetShards(
       Router::RoutingExpr(expr, options_.exec), &broadcast);
@@ -844,8 +826,8 @@ ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
     std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
     const std::shared_lock<std::shared_mutex> topo(topology_mu_);
     const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                        options_.router, exec_pool_.get(),
-                        options_.parallel_fanout, &profiler_);
+                        exec_pool_.get(), options_.parallel_fanout,
+                        &profiler_);
     cursor = router.OpenCursor(expr, exec, full_drain, std::move(latch));
   }
   while (!cursor->exhausted()) (void)cursor->NextBatch();
@@ -903,8 +885,7 @@ std::string PlannerStatusJson() {
 
 std::vector<int> Cluster::TargetShards(const query::ExprPtr& expr) const {
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_);
   return router.TargetShards(Router::RoutingExpr(expr, options_.exec));
 }
 

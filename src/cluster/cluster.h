@@ -40,17 +40,6 @@ struct DurabilityOptions {
   uint64_t checkpoint_wal_bytes = 0;
 };
 
-/// Knobs for Cluster::Reshard (namespace scope so it can serve as a default
-/// argument — a nested struct's member initializers cannot).
-struct ReshardOptions {
-  /// Chunks in the target table; 0 derives one from the data volume and
-  /// chunk_max_bytes (at least one per shard).
-  size_t target_chunks = 0;
-  /// Sample every Nth shard-key value when building the target split
-  /// vector (MongoDB's resharding samples, it never sorts every key).
-  size_t sample_stride = 4;
-};
-
 /// Deployment-level knobs of the simulated cluster.
 struct ClusterOptions {
   int num_shards = 12;  ///< The paper's deployment uses 12 shard VMs.
@@ -63,6 +52,11 @@ struct ClusterOptions {
   /// Run one balancer round every N inserts (the background Balancer); 0
   /// disables automatic balancing (call Balance() explicitly).
   int balance_every_inserts = 4096;
+
+  /// Sleep between rounds of the online balancer (StartBalancer). Small by
+  /// default: bench-scale migrations are sub-millisecond, so the balancer
+  /// mostly idles on its condition variable.
+  int background_interval_ms = 5;
 
   uint64_t seed = 42;  ///< Drives balancer randomness; fully reproducible.
 
@@ -81,9 +75,10 @@ struct ClusterOptions {
   /// degrades to serial regardless of this flag.
   bool parallel_fanout = false;
 
-  RouterOptions router;
+  /// Query execution knobs every shard runs under. A non-null
+  /// `exec.bucket_layout` also makes the balancer weigh chunks by logical
+  /// points (see PickNextMigration).
   query::ExecutorOptions exec;
-  BalancerOptions balancer;
   DurabilityOptions durability;
   /// Slow-op profiler (off by default; see OpProfiler). When enabled, every
   /// query/cursor whose modeled time crosses the threshold is recorded with
@@ -152,7 +147,7 @@ class Cluster {
 
   /// Starts the online balancer: a background task on the cluster's
   /// executor pool that runs one balancer round (pick + two-phase move)
-  /// every BalancerOptions::background_interval_ms, concurrently with
+  /// every ClusterOptions::background_interval_ms, concurrently with
   /// queries and inserts. Idempotent. Call after setup (ShardCollection /
   /// Restore*) — the thread no-ops until the collection is sharded.
   void StartBalancer();
@@ -230,8 +225,7 @@ class Cluster {
   /// concurrent calls return AlreadyExists.
   Status Reshard(ShardKeyPattern new_pattern,
                  const std::vector<index::IndexDescriptor>& new_secondary_indexes,
-                 const ReshardEnrichFn& enrich = nullptr,
-                 const ReshardOptions& reshard_options = ReshardOptions());
+                 const ReshardEnrichFn& enrich = nullptr);
 
   /// True while a Reshard() is between its routing flip and its final
   /// metadata swap (reads broadcast, writes route by the target table).
@@ -240,8 +234,8 @@ class Cluster {
   /// Read/write distribution snapshot as one JSON object: per-shard cursor
   /// targeting counts (reads), per-shard write counts summed from the
   /// per-chunk write counters, and the hottest chunk's share — the figures
-  /// MongoDB's analyzeShardKey reports, feeding the balancer's
-  /// weigh_by_writes pick and the traffic harness report.
+  /// MongoDB's analyzeShardKey reports, read by the traffic harness
+  /// report.
   std::string DistributionJson() const;
 
   /// Shards the router would contact (for node-count studies).
@@ -330,8 +324,13 @@ class Cluster {
   /// holds topology_mu_ exclusive.
   Result<uint64_t> DeleteBucketsLocked(const Router& router,
                                        const query::ExprPtr& expr);
-  /// One background-balancer cadence: pick under the topology lock, then
-  /// two-phase move. Aborted commits are benign (retried next round).
+  /// The one balancer pick site: under a shared topology hold and
+  /// balance_mu_, the next migration PickNextMigration proposes — nullopt
+  /// before sharding, while a reshard owns chunk movement, or when
+  /// balanced.
+  std::optional<Migration> PickMigration();
+  /// One background-balancer cadence: pick, then two-phase move. Aborted
+  /// commits are benign (retried next round).
   void RunBalancerRound();
   void BalancerMain(int interval_ms);
   static std::string IndexNameForPattern(const ShardKeyPattern& pattern);
@@ -350,7 +349,7 @@ class Cluster {
   /// Phase 2: sampled split vector over the new-pattern keys of every
   /// shard → the target chunk table with exact accounting.
   Result<std::unique_ptr<ChunkManager>> ReshardBuildChunkTable(
-      const ShardKeyPattern& new_pattern, const ReshardOptions& opts) const;
+      const ShardKeyPattern& new_pattern) const;
   /// Phase 4, per target chunk: two-phase copy of every out-of-place
   /// document onto the owning shard, commit under the latch + exclusive
   /// topology, stats/plan-cache invalidation on every shard touched.

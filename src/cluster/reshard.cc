@@ -52,8 +52,7 @@ STIX_FAIL_POINT_DEFINE(reshardMoveChunk);
 Status Cluster::Reshard(ShardKeyPattern new_pattern,
                         const std::vector<index::IndexDescriptor>&
                             new_secondary_indexes,
-                        const ReshardEnrichFn& enrich,
-                        const ReshardOptions& reshard_options) {
+                        const ReshardEnrichFn& enrich) {
   STIX_METRIC_COUNTER(completed, "reshard.completed");
 
   const std::unique_lock<std::mutex> one(reshard_mu_, std::try_to_lock);
@@ -112,7 +111,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
   {
     const std::unique_lock<std::shared_mutex> topo(topology_mu_);
     Result<std::unique_ptr<ChunkManager>> table =
-        ReshardBuildChunkTable(new_pattern, reshard_options);
+        ReshardBuildChunkTable(new_pattern);
     if (!table.ok()) {
       reshard_preparing_ = false;
       reshard_enrich_ = nullptr;  // pre-flip failure, as in unwind()
@@ -232,7 +231,7 @@ Status Cluster::ReshardPrepareShards(
 }
 
 Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
-    const ShardKeyPattern& new_pattern, const ReshardOptions& opts) const {
+    const ShardKeyPattern& new_pattern) const {
   // Caller holds topology_mu_ exclusive: no writer can run, so one pass
   // over every shard is a consistent snapshot.
   struct Keyed {
@@ -255,24 +254,21 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
   std::sort(all.begin(), all.end(),
             [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
 
-  size_t target_chunks = opts.target_chunks;
-  if (target_chunks == 0) {
-    // Same density the split threshold would converge to, but computed in
-    // one pass — and never fewer chunks than shards, or the round-robin
-    // assignment would leave shards empty.
-    target_chunks = static_cast<size_t>(
-        total_bytes / std::max<uint64_t>(options_.chunk_max_bytes, 1) + 1);
-    target_chunks =
-        std::max(target_chunks, static_cast<size_t>(options_.num_shards));
-  }
+  // Same density the split threshold would converge to, but computed in
+  // one pass — and never fewer chunks than shards, or the round-robin
+  // assignment would leave shards empty.
+  const size_t target_chunks = std::max(
+      static_cast<size_t>(
+          total_bytes / std::max<uint64_t>(options_.chunk_max_bytes, 1) + 1),
+      static_cast<size_t>(options_.num_shards));
 
   // MongoDB's resharding samples the key space rather than sorting every
-  // key into the split decision; the stride keeps that shape (accounting
+  // key into the split decision: every kSampleStride-th key (accounting
   // below stays exact — only the boundary choice is sampled).
-  const size_t stride = std::max<size_t>(opts.sample_stride, 1);
+  constexpr size_t kSampleStride = 4;
   std::vector<std::string> sampled;
-  sampled.reserve(all.size() / stride + 1);
-  for (size_t i = 0; i < all.size(); i += stride) {
+  sampled.reserve(all.size() / kSampleStride + 1);
+  for (size_t i = 0; i < all.size(); i += kSampleStride) {
     sampled.push_back(all[i].key);
   }
   const std::vector<std::string> bounds = SplitVector(sampled, target_chunks);

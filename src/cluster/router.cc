@@ -119,32 +119,18 @@ std::unique_ptr<ClusterCursor> Router::OpenCursor(
   std::vector<int> targets = TargetShards(RoutingExpr(expr, exec), &broadcast);
   return std::unique_ptr<ClusterCursor>(
       new ClusterCursor(shards_, std::move(targets), broadcast, expr, exec,
-                        options_, parallel_fanout_, pool_, cursor_options,
-                        profiler_, std::move(migration_latch)));
-}
-
-ClusterQueryResult Router::Execute(
-    const query::ExprPtr& expr,
-    const query::ExecutorOptions& exec_options) const {
-  // One unbounded getMore per shard: the classic run-to-completion
-  // scatter/gather is the degenerate case of the streaming cursor, so both
-  // paths share one merge and one set of accounting.
-  CursorOptions full_drain;
-  full_drain.batch_size = 0;
-  full_drain.limit = 0;
-  return OpenCursor(expr, exec_options, full_drain)->Drain();
+                        parallel_fanout_, pool_, cursor_options, profiler_,
+                        std::move(migration_latch)));
 }
 
 ClusterCursor::ClusterCursor(
     const std::vector<std::unique_ptr<Shard>>* shards,
     std::vector<int> targets, bool broadcast, const query::ExprPtr& expr,
-    const query::ExecutorOptions& exec_options,
-    const RouterOptions& router_options, bool parallel_fanout,
+    const query::ExecutorOptions& exec_options, bool parallel_fanout,
     ThreadPool* pool, const CursorOptions& cursor_options,
     OpProfiler* profiler, std::shared_lock<std::shared_mutex> migration_latch)
     : targets_(std::move(targets)),
       broadcast_(broadcast),
-      router_options_(router_options),
       parallel_fanout_(parallel_fanout),
       pool_(pool),
       cursor_options_(cursor_options),
@@ -312,10 +298,10 @@ ClusterQueryResult ClusterCursor::Summary() const {
     result.sum_shard_millis += report.millis;
   }
   result.merge_millis = merge_millis_;
-  result.modeled_millis = result.max_shard_millis +
-                          router_options_.per_node_overhead_ms *
-                              static_cast<double>(result.nodes_contacted) +
-                          result.merge_millis;
+  result.modeled_millis =
+      result.max_shard_millis +
+      kPerNodeOverheadMs * static_cast<double>(result.nodes_contacted) +
+      result.merge_millis;
   result.n_returned = returned_;
   result.bytes_materialized = bytes_materialized_;
   result.first_result_millis =

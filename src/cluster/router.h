@@ -15,16 +15,6 @@ namespace stix::cluster {
 
 class OpProfiler;
 
-/// Router (mongos) behaviour knobs.
-struct RouterOptions {
-  /// Fixed cost charged per contacted shard in the modelled latency
-  /// (connection handling + result batching on the mongos). The paper's
-  /// discussion of small queries hinges on this being small but non-zero;
-  /// it is scaled down with the data so it stays proportionally as minor
-  /// as a LAN round trip is against the paper's 10-1000 ms queries.
-  double per_node_overhead_ms = 0.02;
-};
-
 /// Knobs for a streaming cluster cursor.
 struct CursorOptions {
   /// Documents requested from each shard per getMore round; 0 drains every
@@ -39,6 +29,13 @@ struct CursorOptions {
   /// widened) — used for metadata scans (kNN seeding) and deletes.
   bool raw_buckets = false;
 };
+
+/// Fixed cost charged per contacted shard in the modelled latency
+/// (connection handling + result batching on the mongos). The paper's
+/// discussion of small queries hinges on this being small but non-zero; it
+/// is scaled down with the data so it stays proportionally as minor as a
+/// LAN round trip is against the paper's 10-1000 ms queries.
+inline constexpr double kPerNodeOverheadMs = 0.02;
 
 /// Per-shard slice of a scatter/gather execution.
 struct ShardQueryReport {
@@ -72,7 +69,8 @@ struct ClusterQueryResult {
   double max_shard_millis = 0.0;
   double sum_shard_millis = 0.0;
   double merge_millis = 0.0;
-  /// max_shard + per-node overhead + merge: the headline execution time.
+  /// max_shard + kPerNodeOverheadMs per contacted node + merge: the
+  /// headline execution time.
   double modeled_millis = 0.0;
 
   /// Streaming accounting: documents the merge produced, bytes copied out
@@ -158,7 +156,7 @@ class ClusterCursor {
   ClusterQueryResult Summary() const;
 
   /// Drains the remaining stream and returns the full result, docs
-  /// included — Router::Execute is exactly open + Drain with batch size 0.
+  /// included.
   ClusterQueryResult Drain();
 
   /// Explain view of this cursor's execution so far (complete once
@@ -174,9 +172,8 @@ class ClusterCursor {
                 std::vector<int> targets, bool broadcast,
                 const query::ExprPtr& expr,
                 const query::ExecutorOptions& exec_options,
-                const RouterOptions& router_options, bool parallel_fanout,
-                ThreadPool* pool, const CursorOptions& cursor_options,
-                OpProfiler* profiler,
+                bool parallel_fanout, ThreadPool* pool,
+                const CursorOptions& cursor_options, OpProfiler* profiler,
                 std::shared_lock<std::shared_mutex> migration_latch);
 
   /// Hands the finished op to the profiler when it crosses the slow-op
@@ -191,7 +188,6 @@ class ClusterCursor {
 
   std::vector<int> targets_;
   bool broadcast_ = false;
-  RouterOptions router_options_;
   bool parallel_fanout_ = false;
   ThreadPool* pool_ = nullptr;
   CursorOptions cursor_options_;
@@ -229,12 +225,11 @@ class Router {
   /// slow-op threshold.
   Router(const ShardKeyPattern* pattern, const ChunkManager* chunks,
          const std::vector<std::unique_ptr<Shard>>* shards,
-         RouterOptions options, ThreadPool* pool = nullptr,
-         bool parallel_fanout = false, OpProfiler* profiler = nullptr)
+         ThreadPool* pool = nullptr, bool parallel_fanout = false,
+         OpProfiler* profiler = nullptr)
       : pattern_(pattern),
         chunks_(chunks),
         shards_(shards),
-        options_(options),
         pool_(pool),
         parallel_fanout_(parallel_fanout),
         profiler_(profiler) {}
@@ -268,16 +263,10 @@ class Router {
       const CursorOptions& cursor_options = {},
       std::shared_lock<std::shared_mutex> migration_latch = {}) const;
 
-  /// Scatter/gather execution with per-shard measurement: open + drain with
-  /// a single unbounded getMore per shard.
-  ClusterQueryResult Execute(const query::ExprPtr& expr,
-                             const query::ExecutorOptions& exec_options) const;
-
  private:
   const ShardKeyPattern* pattern_;
   const ChunkManager* chunks_;
   const std::vector<std::unique_ptr<Shard>>* shards_;
-  RouterOptions options_;
   ThreadPool* pool_;
   bool parallel_fanout_;
   OpProfiler* profiler_;

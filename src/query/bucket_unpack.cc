@@ -101,7 +101,7 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
     }
     case MatchExpr::Kind::kCmp: {
       const auto& cmp = static_cast<const CmpExpr&>(*expr);
-      if (cmp.path() == layout.time_field &&
+      if (cmp.path() == storage::kDateField &&
           cmp.value().type() == bson::Type::kDateTime) {
         return WidenTimeCmp(cmp, layout);
       }
@@ -109,7 +109,7 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
     }
     case MatchExpr::Kind::kRangeSet: {
       const auto& rs = static_cast<const RangeSetExpr&>(*expr);
-      if (rs.path() == layout.hilbert_field) {
+      if (rs.path() == storage::kHilbertField) {
         return WidenHilbertRangeSet(rs, layout);
       }
       return nullptr;
@@ -123,20 +123,19 @@ namespace {
 
 /// Folds one conjunct into `sel`; false when the node is not a recognised
 /// leaf (see CompileBucketSelection), which leaves it to the expression.
-bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
-                 storage::BucketSelection* sel) {
+bool CompileInto(const ExprPtr& expr, storage::BucketSelection* sel) {
   switch (expr->kind()) {
     case MatchExpr::Kind::kAnd: {
       bool exact = true;
       for (const ExprPtr& child :
            static_cast<const AndExpr&>(*expr).children()) {
-        exact = CompileInto(child, layout, sel) && exact;
+        exact = CompileInto(child, sel) && exact;
       }
       return exact;
     }
     case MatchExpr::Kind::kCmp: {
       const auto& cmp = static_cast<const CmpExpr&>(*expr);
-      if (cmp.path() != layout.time_field ||
+      if (cmp.path() != storage::kDateField ||
           cmp.value().type() != bson::Type::kDateTime) {
         return false;
       }
@@ -177,26 +176,26 @@ bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
     }
     case MatchExpr::Kind::kGeoWithinBox: {
       const auto& g = static_cast<const GeoWithinBoxExpr&>(*expr);
-      if (g.path() != layout.location_field) return false;
+      if (g.path() != storage::kLocationField) return false;
       sel->rects.push_back(g.box());
       return true;
     }
     case MatchExpr::Kind::kGeoIntersectsBox: {
       // On a point location $geoIntersects is the same box containment.
       const auto& g = static_cast<const GeoIntersectsBoxExpr&>(*expr);
-      if (g.path() != layout.location_field) return false;
+      if (g.path() != storage::kLocationField) return false;
       sel->rects.push_back(g.box());
       return true;
     }
     case MatchExpr::Kind::kGeoWithinPolygon: {
       const auto& g = static_cast<const GeoWithinPolygonExpr&>(*expr);
-      if (g.path() != layout.location_field) return false;
+      if (g.path() != storage::kLocationField) return false;
       sel->polygons.push_back(g.polygon());
       return true;
     }
     case MatchExpr::Kind::kRangeSet: {
       const auto& rs = static_cast<const RangeSetExpr&>(*expr);
-      if (rs.path() != layout.hilbert_field) return false;
+      if (rs.path() != storage::kHilbertField) return false;
       std::vector<std::pair<int64_t, int64_t>> ranges;
       ranges.reserve(rs.ranges().size());
       for (const RangeSetExpr::Range& r : rs.ranges()) {
@@ -216,27 +215,15 @@ bool CompileInto(const ExprPtr& expr, const storage::BucketLayout& layout,
 
 }  // namespace
 
-storage::BucketSelection CompileBucketSelection(
-    const ExprPtr& expr, const storage::BucketLayout& layout) {
+storage::BucketSelection CompileBucketSelection(const ExprPtr& expr) {
   storage::BucketSelection sel;
   if (expr == nullptr) return sel;
-  // The columns hold top-level fields; a dotted name would make the
-  // expression's path walk disagree with them.
-  for (const std::string* f : {&layout.time_field, &layout.location_field,
-                               &layout.hilbert_field}) {
-    if (f->find('.') != std::string::npos) {
-      sel.exact = false;
-      return sel;
-    }
-  }
-  sel.exact = CompileInto(expr, layout, &sel);
+  sel.exact = CompileInto(expr, &sel);
   return sel;
 }
 
-BucketFilter::BucketFilter(ExprPtr expr, const storage::BucketLayout& layout)
-    : expr_(std::move(expr)),
-      layout_(&layout),
-      selection_(CompileBucketSelection(expr_, layout)) {}
+BucketFilter::BucketFilter(ExprPtr expr)
+    : expr_(std::move(expr)), selection_(CompileBucketSelection(expr_)) {}
 
 Result<BucketMatch> BucketFilter::Apply(const bson::Document& bucket,
                                         const storage::BucketMeta& meta,
@@ -250,8 +237,8 @@ Result<BucketMatch> BucketFilter::Apply(const bson::Document& bucket,
   match.outcome = BucketMatch::Outcome::kPartial;
   bool selected = false;
   Result<std::vector<bson::Document>> points = storage::DecodeBucket(
-      bucket, meta, *layout_,
-      selection_.exact && !partition ? &selection_ : nullptr, &selected);
+      bucket, meta, selection_.exact && !partition ? &selection_ : nullptr,
+      &selected);
   if (!points.ok()) return points.status();
   match.points_built = points->size();
   if (selected) {
@@ -268,12 +255,9 @@ Result<BucketMatch> BucketFilter::Apply(const bson::Document& bucket,
   return match;
 }
 
-BucketUnpackStage::BucketUnpackStage(
-    std::unique_ptr<PlanStage> child, ExprPtr point_expr,
-    std::shared_ptr<const storage::BucketLayout> layout)
-    : child_(std::move(child)),
-      layout_(std::move(layout)),
-      filter_(std::move(point_expr), *layout_) {}
+BucketUnpackStage::BucketUnpackStage(std::unique_ptr<PlanStage> child,
+                                     ExprPtr point_expr)
+    : child_(std::move(child)), filter_(std::move(point_expr)) {}
 
 PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
                                          const bson::Document** doc_out) {
@@ -313,7 +297,7 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
   if (match.ok() && match->outcome == BucketMatch::Outcome::kCovered) {
     // Every point matches: decode them all, with no per-point filtering.
     Result<std::vector<bson::Document>> all =
-        storage::DecodeBucket(*doc, *meta, *layout_);
+        storage::DecodeBucket(*doc, *meta);
     if (all.ok()) {
       match->points_built = all->size();
       match->matched = std::move(*all);

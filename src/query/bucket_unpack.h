@@ -20,10 +20,10 @@ namespace stix::query {
 ///
 /// The rewrite follows MongoDB's time-series $_internalUnpackBucket
 /// predicate mapping, specialised to this engine's expression subset:
-///  - time_field comparisons widen their lower bound by window_ms - 1
+///  - date comparisons widen their lower bound by window_ms - 1
 ///    (a bucket's date carries the window start, and points lie in
 ///    [date, date + window)); $eq becomes the widened closed range.
-///  - hilbert_field RangeSets widen each range's lower bound by
+///  - hilbertIndex RangeSets widen each range's lower bound by
 ///    2^hilbert_shift - 1 (a bucket's hilbertIndex carries its cell base),
 ///    then re-merge overlaps so the result is again sorted and disjoint.
 ///  - $and maps over its children; anything else (geo predicates,
@@ -37,17 +37,14 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
 
 /// Compiles `expr` once into the bucket filter: walks its top-level $and
 /// (nested or not) and puts every recognised leaf into the selection —
-///  - a time_field comparison against a DateTime,
+///  - a storage::kDateField comparison against a DateTime,
 ///  - $geoWithin $box, $geoIntersects $box or $geoWithin $polygon on
-///    location_field,
-///  - a hilbert_field RangeSet whose bounds are all Int64 —
-/// each on a top-level field of the layout. Any other leaf (residual
-/// fields, $or, $in, other value types) is left to the expression and
-/// clears `exact`; so does a dotted layout field name, which leaves the
-/// selection empty. A null expression matches everything: an empty, exact
-/// selection.
-storage::BucketSelection CompileBucketSelection(
-    const ExprPtr& expr, const storage::BucketLayout& layout);
+///    storage::kLocationField,
+///  - a storage::kHilbertField RangeSet whose bounds are all Int64.
+/// Any other leaf (residual fields, $or, $in, other value types) is left to
+/// the expression and clears `exact`. A null expression matches
+/// everything: an empty, exact selection.
+storage::BucketSelection CompileBucketSelection(const ExprPtr& expr);
 
 /// What one bucket contributes to a point expression (BucketFilter::Apply).
 /// Pruned and covered buckets are decided on their metadata alone; only a
@@ -69,8 +66,7 @@ struct BucketMatch {
 /// bucket match?" behind BUCKET_UNPACK, bucketed deletes and the cold scan.
 class BucketFilter {
  public:
-  /// `layout` must outlive the filter.
-  BucketFilter(ExprPtr expr, const storage::BucketLayout& layout);
+  explicit BucketFilter(ExprPtr expr);
 
   /// Decides one bucket from the metadata its caller already parsed:
   /// pruned, covered, or decoded. An exact selection decodes columnar-first
@@ -86,7 +82,6 @@ class BucketFilter {
 
  private:
   ExprPtr expr_;
-  const storage::BucketLayout* layout_;
   storage::BucketSelection selection_;
 };
 
@@ -114,8 +109,7 @@ class BucketFilter {
 /// points_materialized counts the point documents actually built.
 class BucketUnpackStage : public PlanStage {
  public:
-  BucketUnpackStage(std::unique_ptr<PlanStage> child, ExprPtr point_expr,
-                    std::shared_ptr<const storage::BucketLayout> layout);
+  BucketUnpackStage(std::unique_ptr<PlanStage> child, ExprPtr point_expr);
 
   State Work(storage::RecordId* rid_out,
              const bson::Document** doc_out) override;
@@ -132,7 +126,6 @@ class BucketUnpackStage : public PlanStage {
 
  private:
   std::unique_ptr<PlanStage> child_;
-  std::shared_ptr<const storage::BucketLayout> layout_;
   BucketFilter filter_;
 
   /// Pointer-stable arena of every matching decoded point (deque: grows

@@ -100,8 +100,8 @@ std::vector<CandidatePlan> Planner::Plan(const storage::RecordStore& records,
       // metadata inside the unpack, the exact filter on decoded points).
       auto fetch =
           std::make_unique<FetchStage>(records, std::move(scan), nullptr);
-      plan.root = std::make_unique<BucketUnpackStage>(std::move(fetch), expr,
-                                                      ctx.bucket_layout);
+      plan.root =
+          std::make_unique<BucketUnpackStage>(std::move(fetch), expr);
       plan.transient_docs = true;
     } else {
       plan.root = std::make_unique<FetchStage>(records, std::move(scan), expr);
@@ -116,8 +116,7 @@ std::vector<CandidatePlan> Planner::Plan(const storage::RecordStore& records,
     plan.access.bucketed = bucketed;
     if (bucketed) {
       auto scan = std::make_unique<CollScanStage>(records, nullptr);
-      plan.root = std::make_unique<BucketUnpackStage>(std::move(scan), expr,
-                                                      ctx.bucket_layout);
+      plan.root = std::make_unique<BucketUnpackStage>(std::move(scan), expr);
       plan.transient_docs = true;
     } else {
       plan.root = std::make_unique<CollScanStage>(records, expr);

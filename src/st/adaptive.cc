@@ -8,6 +8,12 @@
 namespace stix::st {
 namespace {
 
+// Seed of the sample thinning (see AdaptiveZoneOptions::sample_limit).
+constexpr uint64_t kSampleSeed = 97;
+// Baseline weight every document carries even if no workload query touches
+// it, so cold data still spreads across shards.
+constexpr double kZoneBackgroundWeight = 0.05;
+
 struct WeightedValue {
   bson::Value value;  // zone-path value (hilbertIndex or date)
   double weight;
@@ -43,7 +49,7 @@ Result<std::vector<cluster::ZoneRange>> ComputeWorkloadAwareZones(
           ? 1.0
           : static_cast<double>(options.sample_limit) /
                 static_cast<double>(total_docs);
-  Rng rng(options.seed);
+  Rng rng(kSampleSeed);
 
   std::vector<WeightedValue> samples;
   samples.reserve(std::min<uint64_t>(total_docs, options.sample_limit + 16));
@@ -55,7 +61,7 @@ Result<std::vector<cluster::ZoneRange>> ComputeWorkloadAwareZones(
           }
           const bson::Value* v = doc.GetPath(zone_path);
           if (v == nullptr) return;
-          double weight = options.background_weight;
+          double weight = kZoneBackgroundWeight;
           for (const auto& [expr, query_weight] : predicates) {
             if (expr->Matches(doc)) weight += query_weight;
           }

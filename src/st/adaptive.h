@@ -18,18 +18,16 @@ struct WorkloadQuery {
 
 /// Knobs of the workload-aware zone computation.
 struct AdaptiveZoneOptions {
-  /// Documents sampled for the load estimate (0 = use all documents).
+  /// Documents sampled for the load estimate (0 = use all documents). The
+  /// thinning draws from a fixed seed, so zones are reproducible.
   size_t sample_limit = 100000;
-  /// Baseline weight every document carries even if no workload query
-  /// touches it, so cold data still spreads across shards.
-  double background_weight = 0.05;
-  uint64_t seed = 97;
 };
 
 /// The paper's closing future-work item ("an adaptive, workload-aware
 /// mechanism for indexing and partitioning"): instead of $bucketAuto's
 /// equi-*count* zone boundaries, compute equi-*load* boundaries — each
-/// document's weight is the summed frequency of the workload queries that
+/// document's weight is a small baseline (so cold data still spreads
+/// across shards) plus the summed frequency of the workload queries that
 /// match it, and zones split the shard-key-prefix space into equal-weight
 /// slices. Hot regions get spread over more shards; cold regions share one.
 ///

@@ -69,16 +69,14 @@ std::vector<index::IndexDescriptor> Approach::secondary_indexes() const {
           "location_2dsphere_date_1",
           std::vector<index::IndexField>{
               {kLocationField, index::IndexFieldKind::k2dsphere},
-              {kDateField, index::IndexFieldKind::kAscending}},
-          config_.geohash_bits);
+              {kDateField, index::IndexFieldKind::kAscending}});
       break;
     case ApproachKind::kBslTS:
       out.emplace_back(
           "date_1_location_2dsphere",
           std::vector<index::IndexField>{
               {kDateField, index::IndexFieldKind::kAscending},
-              {kLocationField, index::IndexFieldKind::k2dsphere}},
-          config_.geohash_bits);
+              {kLocationField, index::IndexFieldKind::k2dsphere}});
       break;
     case ApproachKind::kHil:
     case ApproachKind::kHilStar:
@@ -146,7 +144,6 @@ TranslatedQuery Approach::TranslateQuery(const geo::Rect& rect,
   TranslatedQuery fresh = TranslateRegionQuery(
       query::MakeGeoWithinBox(kLocationField, rect), geo::RectRegion(rect),
       t_begin_ms, t_end_ms, max_ranges);
-  if (config_.cover_cache_capacity == 0) return fresh;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     const auto it = cover_cache_.find(key);
@@ -157,7 +154,7 @@ TranslatedQuery Approach::TranslateQuery(const geo::Rect& rect,
     } else {
       cover_cache_lru_.emplace_front(key, fresh);
       cover_cache_[key] = cover_cache_lru_.begin();
-      while (cover_cache_.size() > config_.cover_cache_capacity) {
+      while (cover_cache_.size() > kCoverCacheCapacity) {
         cover_cache_.erase(cover_cache_lru_.back().first);
         cover_cache_lru_.pop_back();
         cache_evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -243,16 +240,16 @@ TranslatedQuery Approach::TranslateRegionQuery(query::ExprPtr geo_predicate,
 }
 
 size_t Approach::PickCoverBudget(double est_fraction) const {
-  if (!uses_hilbert() || !config_.adaptive_cover_budget) return 0;
+  if (!uses_hilbert()) return 0;
   if (est_fraction < 0.0) return 0;  // unknown selectivity: stay exact
-  if (est_fraction <= config_.coarse_cover_fraction) {
+  if (est_fraction <= kCoarseCoverFraction) {
     STIX_METRIC_COUNTER(fine, "planner.cover_fine");
     fine.Increment();
     return 0;
   }
   STIX_METRIC_COUNTER(coarse, "planner.cover_coarse");
   coarse.Increment();
-  return config_.coarse_cover_max_ranges;
+  return kCoarseCoverMaxRanges;
 }
 
 std::string Approach::zone_path() const {

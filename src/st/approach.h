@@ -17,13 +17,16 @@
 #include "geo/curve_registry.h"
 #include "index/index_descriptor.h"
 #include "query/expression.h"
+#include "storage/bucket.h"
 
 namespace stix::st {
 
-/// Field names of the paper's document schema.
-inline constexpr char kLocationField[] = "location";
-inline constexpr char kDateField[] = "date";
-inline constexpr char kHilbertField[] = "hilbertIndex";
+/// Field names of the paper's document schema: the very constants the
+/// bucketed layout keys and compresses by (defined in storage/bucket.h), so
+/// the two layers cannot drift apart.
+using storage::kDateField;
+using storage::kHilbertField;
+using storage::kLocationField;
 
 /// The four evaluated methods (paper Section 5.1, "Methodology").
 enum class ApproachKind {
@@ -35,14 +38,29 @@ enum class ApproachKind {
 
 const char* ApproachName(ApproachKind kind);
 
-/// Tunables shared by the approaches.
+/// Adaptive curve-covering budget (Hilbert approaches only): when the store
+/// can estimate a query's selectivity from the shard histograms,
+/// low-selectivity rects — ones expected to touch more than
+/// kCoarseCoverFraction of the data — are covered with at most
+/// kCoarseCoverMaxRanges ranges (a coarser superset: fewer seeks and far
+/// less covering work, and still exact because the residual $geoWithin +
+/// date predicates refine at FETCH), while hot small rects keep the exact
+/// covering. An unknown selectivity always uses the exact covering.
+inline constexpr double kCoarseCoverFraction = 0.02;
+inline constexpr size_t kCoarseCoverMaxRanges = 64;
+
+/// Covering/translation cache capacity in entries per approach (LRU
+/// eviction beyond it). Bounds the cache under workloads with unboundedly
+/// many distinct query rects.
+inline constexpr size_t kCoverCacheCapacity = 4096;
+
+/// Tunables shared by the approaches. The baselines' 2dsphere indexes use
+/// MongoDB's default 26-bit GeoHash (geo::GeoHash::kDefaultBits).
 struct ApproachConfig {
   ApproachKind kind = ApproachKind::kHil;
   /// Hilbert curve bits per dimension (paper: 13, matching the 26 total bits
   /// of the 2dsphere GeoHash).
   int hilbert_order = 13;
-  /// 2dsphere GeoHash precision in total bits (MongoDB default 26).
-  int geohash_bits = 26;
   /// MBR of the data set; only consulted by kHilStar.
   geo::Rect dataset_mbr = geo::GlobeRect();
   /// 1D linearization behind the hilbertIndex field (curve approaches
@@ -54,22 +72,6 @@ struct ApproachConfig {
   /// from (ignored by other curves; empty = uniform boundaries, i.e. plain
   /// GeoHash cells).
   std::vector<geo::Point> curve_fit_sample;
-  /// Covering/translation cache capacity in entries (LRU eviction beyond
-  /// it); 0 disables memoization entirely. Bounds the cache under workloads
-  /// with unboundedly many distinct query rects.
-  size_t cover_cache_capacity = 4096;
-  /// Adaptive curve-covering budget (Hilbert approaches only): when the
-  /// store can estimate a query's selectivity from the shard histograms,
-  /// low-selectivity rects — ones expected to touch more than
-  /// `coarse_cover_fraction` of the data — are covered with at most
-  /// `coarse_cover_max_ranges` ranges (a coarser superset: fewer seeks and
-  /// far less covering work, and still exact because the residual
-  /// $geoWithin + date predicates refine at FETCH), while hot small rects
-  /// keep the exact covering. Off, or an unknown selectivity, always uses
-  /// the exact covering.
-  bool adaptive_cover_budget = true;
-  size_t coarse_cover_max_ranges = 64;
-  double coarse_cover_fraction = 0.02;
 };
 
 /// A spatio-temporal range query translated into the store's match language,
@@ -144,9 +146,9 @@ class Approach {
                                  size_t max_ranges = 0) const;
 
   /// The covering budget for a query expected to select `est_fraction`
-  /// (0..1) of the stored documents: coarse_cover_max_ranges when the
-  /// adaptive budget is on and the fraction crosses coarse_cover_fraction,
-  /// else 0 (exact). A negative fraction means unknown — exact covering.
+  /// (0..1) of the stored documents: kCoarseCoverMaxRanges for a Hilbert
+  /// approach when the fraction crosses kCoarseCoverFraction, else 0
+  /// (exact). A negative fraction means unknown — exact covering.
   size_t PickCoverBudget(double est_fraction) const;
 
   /// Polygon variant (the paper's complex-geometry future-work item): same

@@ -24,23 +24,20 @@ KnnResult KnnQuery(const StStore& store, geo::Point center,
                    int64_t t_begin_ms, int64_t t_end_ms,
                    const KnnOptions& options) {
   KnnResult result;
-  double radius_m = options.initial_radius_m;
-  if (options.seed_from_buckets && store.bucketed()) {
+  double radius_m = kKnnInitialRadiusM;
+  if (store.bucketed()) {
     const std::optional<double> seed =
         store.MinBucketDistanceM(center, t_begin_ms, t_end_ms);
     if (seed.has_value()) radius_m = std::max(radius_m, *seed);
   }
 
-  for (int round = 0; round <= options.max_expansions; ++round) {
+  for (int round = 0; round <= kKnnMaxExpansions; ++round) {
     const geo::Rect ring = geo::RectAroundPoint(center, radius_m);
 
     // Stream the ring probe: batches arrive per shard getMore round and
-    // only the k best candidates seen so far are retained. The candidate
-    // budget (if any) rides down to the shard executors as a limit, which
-    // terminates the probe's index scans early.
+    // only the k best candidates seen so far are retained.
     StCursorOptions cursor_options;
     cursor_options.batch_size = options.batch_size;
-    cursor_options.limit = options.candidate_budget;
     StCursor cursor =
         store.OpenQuery(ring, t_begin_ms, t_end_ms, cursor_options);
     ++result.queries_issued;
@@ -75,7 +72,7 @@ KnnResult KnnQuery(const StStore& store, geo::Point center,
         ring.lo.lat <= -90.0 && ring.hi.lat >= 90.0;
     const bool complete =
         best.size() >= options.k && best.back().distance_m <= radius_m;
-    if (complete || covers_everything || round == options.max_expansions) {
+    if (complete || covers_everything || round == kKnnMaxExpansions) {
       result.neighbors = std::move(best);
       return result;
     }

@@ -7,28 +7,21 @@
 
 namespace stix::st {
 
+/// First search ring radius; doubles on each expansion. On bucketed stores
+/// the first ring is enlarged to the distance of the nearest bucket MBR
+/// overlapping the time window (a metadata-only scan, no column
+/// decompression). That never skips a neighbour — no point can lie closer
+/// than its bucket's MBR — it only skips ring probes that provably return
+/// nothing.
+inline constexpr double kKnnInitialRadiusM = 250.0;
+/// The search gives up (returns what was found) after this many doublings.
+inline constexpr int kKnnMaxExpansions = 16;
+
 /// k-nearest-neighbour search options.
 struct KnnOptions {
   size_t k = 10;
-  /// First search ring radius; doubles on each expansion.
-  double initial_radius_m = 250.0;
-  /// Give up (return what was found) after this many doublings.
-  int max_expansions = 16;
   /// Documents pulled per shard per getMore while streaming a ring probe.
   size_t batch_size = 256;
-  /// Bucketed stores only: seed the first ring radius from the distance to
-  /// the nearest bucket MBR overlapping the time window (a metadata-only
-  /// scan, no column decompression). Enlarging the first ring never skips a
-  /// neighbour — no point can lie closer than its bucket's MBR — it only
-  /// skips ring probes that provably return nothing. No-op on row stores.
-  bool seed_from_buckets = true;
-  /// Candidate budget per ring probe, pushed down the cursor stack as a
-  /// limit: the probe's shard executors stop as soon as this many
-  /// candidates have been produced. 0 (default) keeps the search exact; a
-  /// non-zero budget makes it approximate — a ring that hits the budget may
-  /// miss closer points it never pulled — in exchange for bounded per-probe
-  /// work (the top-k early-termination the streaming stack exists for).
-  uint64_t candidate_budget = 0;
 };
 
 /// One kNN answer: a matching document and its great-circle distance.

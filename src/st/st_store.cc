@@ -21,12 +21,11 @@ StStoreOptions ResolveOptions(StStoreOptions options) {
     const ApproachKind kind = options.approach.kind;
     options.bucket->use_hilbert = (kind == ApproachKind::kHil ||
                                    kind == ApproachKind::kHilStar);
-    // The executor unpacks buckets behind every query; the balancer weighs
-    // chunks by decoded point count instead of (uniformly small) bucket
-    // document counts.
+    // The executor unpacks buckets behind every query; the cluster also
+    // reads the layout's presence to weigh balancer picks by decoded point
+    // count instead of (uniformly small) bucket document counts.
     options.cluster.exec.bucket_layout =
         std::make_shared<const storage::BucketLayout>(*options.bucket);
-    options.cluster.balancer.weigh_by_points = true;
   }
   return options;
 }
@@ -61,8 +60,7 @@ StStore::StStore(StStoreOptions resolved,
       id_generator_(options_.cluster.seed ^ 0x1d5ULL) {
   if (options_.bucket.has_value()) {
     catalog_ = std::make_unique<storage::BucketCatalog>(
-        *options_.bucket, storage::BucketCatalogOptions{},
-        [this](bson::Document bucket) {
+        *options_.bucket, [this](bson::Document bucket) {
           return cluster_->Insert(std::move(bucket));
         });
   }
@@ -100,9 +98,7 @@ Status StStore::Insert(bson::Document doc) {
     if (!doc.Has("_id")) {
       const uint32_t load_seconds = static_cast<uint32_t>(
           options_.load_clock_begin_ms / 1000 +
-          static_cast<int64_t>(inserted_ /
-                               static_cast<uint64_t>(
-                                   options_.docs_per_id_second)));
+          static_cast<int64_t>(inserted_ / kDocsPerIdSecond));
       doc.Append("_id",
                  bson::Value::Id(id_generator_.Generate(load_seconds)));
     }
@@ -444,7 +440,7 @@ std::optional<double> StStore::MinBucketDistanceM(geo::Point center,
   // rewrite of the point time window (stored documents carry window
   // starts).
   const query::ExprPtr expr = query::WidenForBuckets(
-      query::MakeRange(layout.time_field, bson::Value::DateTime(t_begin_ms),
+      query::MakeRange(kDateField, bson::Value::DateTime(t_begin_ms),
                        bson::Value::DateTime(t_end_ms)),
       layout);
 

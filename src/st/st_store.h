@@ -14,6 +14,10 @@
 
 namespace stix::st {
 
+/// Inserts per second of the client-side _id load clock (see
+/// StStoreOptions::load_clock_begin_ms).
+inline constexpr uint64_t kDocsPerIdSecond = 128;
+
 /// StStore configuration: an approach plus the cluster deployment.
 struct StStoreOptions {
   ApproachConfig approach;
@@ -26,10 +30,9 @@ struct StStoreOptions {
   /// approach, so leave it defaulted.
   std::optional<storage::BucketLayout> bucket;
   /// _id generation: the load clock starts here and advances one second per
-  /// `docs_per_id_second` inserts — the driver-side ObjectId timestamps the
+  /// kDocsPerIdSecond inserts — the client-side ObjectId timestamps the
   /// paper's A.3 prefix-compression analysis depends on.
   int64_t load_clock_begin_ms = 1538352000000;  // 2018-10-01T00:00:00Z
-  int docs_per_id_second = 128;
 };
 
 /// Result of one spatio-temporal query at cluster level.
@@ -64,7 +67,7 @@ struct StCursorOptions {
   /// Documents per shard per getMore round; 0 = single unbounded round.
   size_t batch_size = 101;
   /// Total documents to produce; 0 = unlimited. Pushed down to every shard
-  /// executor, which is what lets kNN probes stop at a candidate budget.
+  /// executor, which stops as soon as the limit is satisfied.
   uint64_t limit = 0;
 };
 

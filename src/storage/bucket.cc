@@ -234,20 +234,20 @@ bool IsBucketDocument(const bson::Document& doc) {
 
 Result<BucketKey> ComputeBucketKey(const bson::Document& point,
                                    const BucketLayout& layout) {
-  const bson::Value* ts = point.Get(layout.time_field);
+  const bson::Value* ts = point.Get(kDateField);
   if (ts == nullptr || ts->type() != bson::Type::kDateTime) {
     return Status::InvalidArgument(
-        "bucketed store requires a DateTime '" + layout.time_field +
+        std::string("bucketed store requires a DateTime '") + kDateField +
         "' field on every document");
   }
   BucketKey key;
   key.window = layout.WindowBase(ts->AsDateTime());
-  if (const bson::Value* v = point.Get(layout.vehicle_field)) {
+  if (const bson::Value* v = point.Get(kVehicleField)) {
     if (v->type() == bson::Type::kInt32) key.vehicle = v->AsInt32();
     if (v->type() == bson::Type::kInt64) key.vehicle = v->AsInt64();
   }
   if (layout.use_hilbert) {
-    if (const bson::Value* h = point.Get(layout.hilbert_field);
+    if (const bson::Value* h = point.Get(kHilbertField);
         h != nullptr && h->type() == bson::Type::kInt64) {
       key.cell = h->AsInt64() >> layout.hilbert_shift;
     }
@@ -280,14 +280,14 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     bool got_ts = false, got_loc = false, got_id = false, got_hil = false;
     for (size_t fi = 0; fi < p.size(); ++fi) {
       const auto& [name, value] = p.field(fi);
-      if (name == layout.time_field) {
+      if (name == kDateField) {
         if (!std::exchange(seen_ts, true) &&
             value.type() == bson::Type::kDateTime) {
           ts[i] = value.AsDateTime();
           positions[i * kNumSlots + kSlotTs] = static_cast<int64_t>(fi);
           got_ts = true;
         }
-      } else if (name == layout.location_field) {
+      } else if (name == kLocationField) {
         if (!std::exchange(seen_loc, true) &&
             IsCanonicalGeoPoint(value, &lon[i], &lat[i])) {
           positions[i * kNumSlots + kSlotLoc] = static_cast<int64_t>(fi);
@@ -302,7 +302,7 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
           positions[i * kNumSlots + kSlotId] = static_cast<int64_t>(fi);
           got_id = true;
         }
-      } else if (name == layout.hilbert_field) {
+      } else if (name == kHilbertField) {
         if (!std::exchange(seen_hil, true) &&
             value.type() == bson::Type::kInt64) {
           hil[i] = value.AsInt64();
@@ -313,7 +313,8 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     }
     if (!got_ts) {
       return Status::InvalidArgument(
-          "bucketed point lacks a DateTime '" + layout.time_field + "' field");
+          std::string("bucketed point lacks a DateTime '") + kDateField +
+          "' field");
     }
     has_loc = has_loc && got_loc;
     has_id = has_id && got_id;
@@ -526,9 +527,9 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     // in exactly one bucket).
     bucket.Append("_id", *points[0].Get("_id"));
   }
-  bucket.Append(layout.time_field, bson::Value::DateTime(window_base));
+  bucket.Append(kDateField, bson::Value::DateTime(window_base));
   if (layout.use_hilbert && has_hil) {
-    bucket.Append(layout.hilbert_field,
+    bucket.Append(kHilbertField,
                   bson::Value::Int64((hil[0] >> layout.hilbert_shift)
                                      << layout.hilbert_shift));
   }
@@ -551,6 +552,11 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
       max_ts == nullptr || max_ts->type() != bson::Type::kDateTime ||
       n == nullptr || n->type() != bson::Type::kInt32) {
     return Status::Corruption("bucket meta is malformed");
+  }
+  // The encoder never writes an empty bucket; a count below one would wrap
+  // to billions of points in the unsigned field.
+  if (n->AsInt32() < 1) {
+    return Status::Corruption("bucket meta.n is not positive");
   }
   out.min_ts = min_ts->AsDateTime();
   out.max_ts = max_ts->AsDateTime();
@@ -667,8 +673,7 @@ bool BucketSelection::Covers(const BucketMeta& meta) const {
 
 Result<std::vector<bson::Document>> DecodeBucket(
     const bson::Document& bucket, const BucketMeta& meta,
-    const BucketLayout& layout, const BucketSelection* selection,
-    bool* selected) {
+    const BucketSelection* selection, bool* selected) {
   const bson::Value* data_v = bucket.Get(kBucketDataField);
   if (data_v == nullptr || data_v->type() != bson::Type::kDocument) {
     return Status::Corruption("not a bucket document");
@@ -859,12 +864,12 @@ Result<std::vector<bson::Document>> DecodeBucket(
     size_t res_next = 0;
     for (size_t fi = 0; fi < total_fields; ++fi) {
       if (pos[kSlotTs] == static_cast<int64_t>(fi)) {
-        point.Append(layout.time_field, bson::Value::DateTime((*ts)[i]));
+        point.Append(kDateField, bson::Value::DateTime((*ts)[i]));
       } else if (pos[kSlotLoc] == static_cast<int64_t>(fi)) {
         if (lon.size() != n) {
           return Status::Corruption("bucket location columns are missing");
         }
-        point.Append(layout.location_field,
+        point.Append(kLocationField,
                      bson::Value::MakeDocument(
                          bson::GeoJsonPoint(lon[i], lat[i])));
       } else if (pos[kSlotId] == static_cast<int64_t>(fi)) {
@@ -879,7 +884,7 @@ Result<std::vector<bson::Document>> DecodeBucket(
         if (hil.size() != n) {
           return Status::Corruption("bucket hilbert column is missing");
         }
-        point.Append(layout.hilbert_field, bson::Value::Int64(hil[i]));
+        point.Append(kHilbertField, bson::Value::Int64(hil[i]));
       } else {
         if (res_next >= res_count) {
           return Status::Corruption("bucket residual fields are short");

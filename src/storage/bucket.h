@@ -14,6 +14,16 @@
 
 namespace stix::storage {
 
+/// Field names of the paper's document schema (Section 4): every point
+/// carries its GeoJSON location and DateTime, the Hilbert approaches add the
+/// curve value, and the trajectory workload a vehicle id. The bucketed
+/// layout keys, compresses and widens by exactly these names; st::Approach
+/// phrases queries with the same constants.
+inline constexpr char kDateField[] = "date";
+inline constexpr char kLocationField[] = "location";
+inline constexpr char kHilbertField[] = "hilbertIndex";
+inline constexpr char kVehicleField[] = "vehicleId";
+
 /// Shape of the bucketed time-series collection layout (MongoDB's
 /// time-series buckets, specialised to the paper's trajectory workload):
 /// one stored document per (vehicle, time window[, Hilbert cell]) holding
@@ -23,7 +33,7 @@ namespace stix::storage {
 struct BucketLayout {
   /// Time-window width per bucket. Every point in a bucket satisfies
   /// ts in [bucket date, bucket date + window_ms), where the bucket's
-  /// time field carries the window's start — the invariant the query
+  /// date field carries the window's start — the invariant the query
   /// rewrite widens time bounds by.
   int64_t window_ms = 6 * 3600 * 1000;
 
@@ -31,15 +41,10 @@ struct BucketLayout {
   uint32_t max_points = 1000;
 
   /// Points in one bucket share hilbert >> hilbert_shift when use_hilbert
-  /// is set, and the bucket's hilbert field carries the cell base — the
-  /// invariant the hilbertIndex range widening relies on.
+  /// is set, and the bucket's hilbertIndex field carries the cell base —
+  /// the invariant the hilbertIndex range widening relies on.
   int hilbert_shift = 12;
   bool use_hilbert = false;
-
-  std::string time_field = "date";
-  std::string location_field = "location";
-  std::string hilbert_field = "hilbertIndex";
-  std::string vehicle_field = "vehicleId";
 
   /// Start of the window containing `ts` (floor to window_ms, correct for
   /// negative timestamps).
@@ -95,9 +100,9 @@ inline constexpr char kBucketWalLsnsField[] = "wlsns";
 /// sub-documents with the codec's version stamp).
 bool IsBucketDocument(const bson::Document& doc);
 
-/// Computes the catalog key of one point. Fails when the time field is
+/// Computes the catalog key of one point. Fails when the date field is
 /// missing or not a DateTime (bucketed stores require it). A missing
-/// vehicle/hilbert field keys as 0.
+/// vehicleId/hilbertIndex field keys as 0.
 Result<BucketKey> ComputeBucketKey(const bson::Document& point,
                                    const BucketLayout& layout);
 
@@ -154,8 +159,7 @@ struct BucketSelection {
 /// the returned points are exactly the ones satisfying the selection.
 Result<std::vector<bson::Document>> DecodeBucket(
     const bson::Document& bucket, const BucketMeta& meta,
-    const BucketLayout& layout, const BucketSelection* selection = nullptr,
-    bool* selected = nullptr);
+    const BucketSelection* selection = nullptr, bool* selected = nullptr);
 
 /// Decodes only the pruning metadata (no column access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);

@@ -13,11 +13,8 @@ namespace stix::storage {
 // restored by the next flush, which the fuzz harness verifies.
 STIX_FAIL_POINT_DEFINE(bucketCatalogFlush);
 
-BucketCatalog::BucketCatalog(BucketLayout layout, BucketCatalogOptions options,
-                             FlushFn flush)
-    : layout_(std::move(layout)),
-      options_(options),
-      flush_(std::move(flush)) {
+BucketCatalog::BucketCatalog(BucketLayout layout, FlushFn flush)
+    : layout_(std::move(layout)), flush_(std::move(flush)) {
   // Pre-register the bucket metrics so ServerStatus shows them from the
   // first snapshot, not from the first flush/unpack.
   MetricsRegistry& registry = MetricsRegistry::Instance();
@@ -48,7 +45,7 @@ Status BucketCatalog::Add(bson::Document point, uint64_t wal_lsn) {
   if (bucket.points.size() >= layout_.max_points) {
     return FlushOneLocked(*key);
   }
-  if (open_.size() > options_.max_open_buckets) {
+  if (open_.size() > kMaxOpenBuckets) {
     // Evict the least-recently-touched bucket (never the one just fed).
     const BucketKey* lru = nullptr;
     uint64_t lru_touch = 0;

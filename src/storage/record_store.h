@@ -75,9 +75,9 @@ class RecordStore {
   /// Mutation generation: bumped on every Insert and Remove. Borrowed
   /// `const Document*` handed out by the query pipeline are only guaranteed
   /// valid while the generation is unchanged (Insert may reallocate the slot
-  /// vector; Remove kills the removed slot). Debug-mode borrow checks in
-  /// `query::ExecutionResult` and the shard/cluster cursors compare a
-  /// snapshot of this counter before dereferencing. Atomic so a guard check
+  /// vector; Remove kills the removed slot). `query::ExecutionResult`
+  /// snapshots this counter, and its borrow check (debug builds abort)
+  /// compares against it before dereferencing. Atomic so a guard check
   /// racing a writer (which holds the shard's exclusive lock the checker
   /// does not) is still a defined read.
   uint64_t generation() const {

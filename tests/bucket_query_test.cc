@@ -176,19 +176,16 @@ TEST(BucketQueryTest, ExplainShowsBucketUnpackWithConsistentCounters) {
 // ---------- bucket selection: pruning and coverage ----------
 
 TEST(BucketSelectionTest, CoversOnlyWhenExactAndContained) {
-  storage::BucketLayout layout;
-  layout.window_ms = 6 * kHourMs;
   const int64_t t0 = 1530403200000;
   std::vector<query::ExprPtr> conjuncts;
-  conjuncts.push_back(query::MakeCmp(
-      layout.time_field, query::CmpOp::kGte, bson::Value::DateTime(t0)));
-  conjuncts.push_back(query::MakeCmp(layout.time_field, query::CmpOp::kLte,
+  conjuncts.push_back(query::MakeCmp(kDateField, query::CmpOp::kGte,
+                                     bson::Value::DateTime(t0)));
+  conjuncts.push_back(query::MakeCmp(kDateField, query::CmpOp::kLte,
                                      bson::Value::DateTime(t0 + kHourMs)));
   conjuncts.push_back(query::MakeGeoWithinBox(
-      layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}}));
+      kLocationField, geo::Rect{{23.0, 37.0}, {24.0, 38.0}}));
   const query::ExprPtr expr = query::MakeAnd(std::move(conjuncts));
-  const storage::BucketSelection sel =
-      query::CompileBucketSelection(expr, layout);
+  const storage::BucketSelection sel = query::CompileBucketSelection(expr);
   EXPECT_TRUE(sel.exact);
 
   storage::BucketMeta inside;
@@ -227,8 +224,7 @@ TEST(BucketSelectionTest, CoversOnlyWhenExactAndContained) {
   // but nothing covers.
   const storage::BucketSelection residual = query::CompileBucketSelection(
       query::MakeAnd({expr, query::MakeCmp("speed", query::CmpOp::kGt,
-                                           bson::Value::Double(45.0))}),
-      layout);
+                                           bson::Value::Double(45.0))}));
   EXPECT_FALSE(residual.exact);
   EXPECT_FALSE(residual.MayContain(far));
   EXPECT_FALSE(residual.Covers(inside));
@@ -236,10 +232,10 @@ TEST(BucketSelectionTest, CoversOnlyWhenExactAndContained) {
   // A polygon is decided exactly on the columns, so the selection is exact;
   // it prunes by its bounding box but never covers.
   const query::ExprPtr poly_expr = query::MakeGeoWithinPolygon(
-      layout.location_field,
+      kLocationField,
       geo::Polygon{{{23.0, 37.0}, {24.0, 37.0}, {23.5, 38.0}}});
   const storage::BucketSelection poly_sel =
-      query::CompileBucketSelection(poly_expr, layout);
+      query::CompileBucketSelection(poly_expr);
   EXPECT_TRUE(poly_sel.exact);
   EXPECT_TRUE(poly_sel.MayContain(inside));
   EXPECT_FALSE(poly_sel.MayContain(far));
@@ -249,21 +245,21 @@ TEST(BucketSelectionTest, CoversOnlyWhenExactAndContained) {
   // contain them to cover it — the second set prunes as well as the first.
   const auto range_set = [&](int64_t lo, int64_t hi) {
     return query::MakeRangeSet(
-        layout.hilbert_field,
+        kHilbertField,
         {{bson::Value::Int64(lo), bson::Value::Int64(hi)}});
   };
   storage::BucketMeta cells = inside;
   cells.hil_ranges = {{100, 120}, {200, 210}};
   const storage::BucketSelection one_set =
-      query::CompileBucketSelection(range_set(90, 300), layout);
+      query::CompileBucketSelection(range_set(90, 300));
   EXPECT_TRUE(one_set.MayContain(cells));
   EXPECT_TRUE(one_set.Covers(cells));
   const storage::BucketSelection two_sets = query::CompileBucketSelection(
-      query::MakeAnd({range_set(90, 300), range_set(130, 190)}), layout);
+      query::MakeAnd({range_set(90, 300), range_set(130, 190)}));
   EXPECT_TRUE(two_sets.exact);
   EXPECT_FALSE(two_sets.MayContain(cells));
   const storage::BucketSelection both_overlap = query::CompileBucketSelection(
-      query::MakeAnd({range_set(90, 300), range_set(115, 205)}), layout);
+      query::MakeAnd({range_set(90, 300), range_set(115, 205)}));
   EXPECT_TRUE(both_overlap.MayContain(cells));
   EXPECT_FALSE(both_overlap.Covers(cells));
 }
@@ -337,13 +333,10 @@ TEST(BucketQueryTest, DeleteMatchesRowLayoutAcrossBucketOutcomes) {
   const geo::Rect west{{19.0, 34.0}, {23.6, 42.0}};
 
   // The window really exercises all three outcomes on the stored buckets.
-  const storage::BucketLayout& layout = bucket->bucket_catalog()->layout();
-  const query::BucketFilter filter(
-      query::MakeAnd({query::MakeRange(layout.time_field,
-                                       bson::Value::DateTime(t0),
-                                       bson::Value::DateTime(t1)),
-                      query::MakeGeoWithinBox(layout.location_field, west)}),
-      layout);
+  const query::BucketFilter filter(query::MakeAnd(
+      {query::MakeRange(kDateField, bson::Value::DateTime(t0),
+                        bson::Value::DateTime(t1)),
+       query::MakeGeoWithinBox(kLocationField, west)}));
   std::map<query::BucketMatch::Outcome, int> outcomes;
   for (const auto& shard : bucket->cluster().shards()) {
     shard->collection().records().ForEach(
@@ -386,13 +379,12 @@ TEST(BucketQueryTest, DeleteMatchesRowLayoutAcrossBucketOutcomes) {
 
 // One trajectory-shaped point with an explicit location value, so tests
 // can place points on exact boundaries (or give them odd locations).
-bson::Document ParityPoint(const storage::BucketLayout& layout, int64_t ts,
-                           bson::Value location, int i) {
+bson::Document ParityPoint(int64_t ts, bson::Value location, int i) {
   static bson::ObjectIdGenerator oid_gen(7);
   bson::Document p;
   p.Append("vehicleId", bson::Value::Int32(3));
-  p.Append(layout.location_field, std::move(location));
-  p.Append(layout.time_field, bson::Value::DateTime(ts));
+  p.Append(kLocationField, std::move(location));
+  p.Append(kDateField, bson::Value::DateTime(ts));
   p.Append("speed", bson::Value::Double(40.0 + i));
   p.Append("_id", bson::Value::Id(oid_gen.Generate(
                       static_cast<uint32_t>(ts / 1000))));
@@ -418,8 +410,7 @@ bool ExpectColumnarParity(const std::vector<bson::Document>& points,
   for (const bson::Document& p : points) {
     if (expr->Matches(p)) expected.push_back(bson::EncodeBson(p));
   }
-  const storage::BucketSelection sel =
-      query::CompileBucketSelection(expr, layout);
+  const storage::BucketSelection sel = query::CompileBucketSelection(expr);
   EXPECT_TRUE(sel.exact) << expr->DebugString();
   if (!sel.exact) return false;
   const Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*bucket);
@@ -427,7 +418,7 @@ bool ExpectColumnarParity(const std::vector<bson::Document>& points,
   if (!meta.ok()) return false;
   bool selected = false;
   const Result<std::vector<bson::Document>> got =
-      storage::DecodeBucket(*bucket, *meta, layout, &sel, &selected);
+      storage::DecodeBucket(*bucket, *meta, &sel, &selected);
   EXPECT_TRUE(got.ok()) << got.status().ToString();
   if (!got.ok()) return false;
   if (!selected) {
@@ -454,7 +445,7 @@ TEST(ColumnarSelectionTest, TimeBoundsAtMinAndMaxTs) {
   std::vector<bson::Document> points;
   for (int i = 0; i < 10; ++i) {
     points.push_back(
-        ParityPoint(layout, kWindowBase + i * 1000, Loc(23.5, 37.5), i));
+        ParityPoint(kWindowBase + i * 1000, Loc(23.5, 37.5), i));
   }
   const int64_t min_ts = kWindowBase;
   const int64_t max_ts = kWindowBase + 9000;
@@ -465,20 +456,20 @@ TEST(ColumnarSelectionTest, TimeBoundsAtMinAndMaxTs) {
                             max_ts, max_ts + 1}) {
       EXPECT_TRUE(ExpectColumnarParity(
           points,
-          query::MakeCmp(layout.time_field, op, bson::Value::DateTime(v)),
+          query::MakeCmp(kDateField, op, bson::Value::DateTime(v)),
           layout));
     }
   }
   // Strict bounds at the ends of the int64 range select nothing.
   EXPECT_TRUE(ExpectColumnarParity(
       points,
-      query::MakeCmp(layout.time_field, query::CmpOp::kGt,
+      query::MakeCmp(kDateField, query::CmpOp::kGt,
                      bson::Value::DateTime(
                          std::numeric_limits<int64_t>::max())),
       layout));
   EXPECT_TRUE(ExpectColumnarParity(
       points,
-      query::MakeCmp(layout.time_field, query::CmpOp::kLt,
+      query::MakeCmp(kDateField, query::CmpOp::kLt,
                      bson::Value::DateTime(
                          std::numeric_limits<int64_t>::min())),
       layout));
@@ -492,19 +483,19 @@ TEST(ColumnarSelectionTest, BoxEdgesAndCorners) {
   for (const double lon : {22.9, 23.0, 23.5, 24.0, 24.1}) {
     for (const double lat : {36.9, 37.0, 37.5, 38.0, 38.1}) {
       points.push_back(
-          ParityPoint(layout, kWindowBase + i * 1000, Loc(lon, lat), i));
+          ParityPoint(kWindowBase + i * 1000, Loc(lon, lat), i));
       ++i;
     }
   }
   EXPECT_TRUE(ExpectColumnarParity(
-      points, query::MakeGeoWithinBox(layout.location_field, box), layout));
+      points, query::MakeGeoWithinBox(kLocationField, box), layout));
   EXPECT_TRUE(ExpectColumnarParity(
-      points, query::MakeGeoIntersectsBox(layout.location_field, box),
+      points, query::MakeGeoIntersectsBox(kLocationField, box),
       layout));
   // A degenerate box at one corner selects exactly that point.
   EXPECT_TRUE(ExpectColumnarParity(
       points,
-      query::MakeGeoWithinBox(layout.location_field,
+      query::MakeGeoWithinBox(kLocationField,
                               geo::Rect{{24.0, 38.0}, {24.0, 38.0}}),
       layout));
 }
@@ -519,12 +510,12 @@ TEST(ColumnarSelectionTest, PolygonVerticesAndEdges) {
       {24.0, 37.001}, {23.5, 38.001}};
   std::vector<bson::Document> points;
   for (size_t i = 0; i < probes.size(); ++i) {
-    points.push_back(ParityPoint(layout, kWindowBase + i * 1000,
+    points.push_back(ParityPoint(kWindowBase + i * 1000,
                                  Loc(probes[i].first, probes[i].second),
                                  static_cast<int>(i)));
   }
   EXPECT_TRUE(ExpectColumnarParity(
-      points, query::MakeGeoWithinPolygon(layout.location_field, tri),
+      points, query::MakeGeoWithinPolygon(kLocationField, tri),
       layout));
 }
 
@@ -534,8 +525,8 @@ TEST(ColumnarSelectionTest, HilbertRangeSetEndpoints) {
   int i = 0;
   for (const int64_t h : {9, 10, 11, 19, 20, 21, 29, 30, 31, 39, 40, 50, 51}) {
     bson::Document p =
-        ParityPoint(layout, kWindowBase + i * 1000, Loc(23.5, 37.5), i);
-    p.Append(layout.hilbert_field, bson::Value::Int64(h));
+        ParityPoint(kWindowBase + i * 1000, Loc(23.5, 37.5), i);
+    p.Append(kHilbertField, bson::Value::Int64(h));
     points.push_back(std::move(p));
     ++i;
   }
@@ -544,18 +535,18 @@ TEST(ColumnarSelectionTest, HilbertRangeSetEndpoints) {
                                       bson::Value::Int64(hi)};
   };
   const query::ExprPtr rs = query::MakeRangeSet(
-      layout.hilbert_field, {range(10, 20), range(30, 30), range(40, 50)});
+      kHilbertField, {range(10, 20), range(30, 30), range(40, 50)});
   EXPECT_TRUE(ExpectColumnarParity(points, rs, layout));
   // Every leaf kind in one conjunction, nested $and included.
   const query::ExprPtr all = query::MakeAnd(
       {rs,
-       query::MakeRange(layout.time_field,
+       query::MakeRange(kDateField,
                         bson::Value::DateTime(kWindowBase + 1000),
                         bson::Value::DateTime(kWindowBase + 11000)),
-       query::MakeGeoWithinBox(layout.location_field,
+       query::MakeGeoWithinBox(kLocationField,
                                geo::Rect{{23.5, 37.5}, {24.0, 38.0}}),
        query::MakeGeoWithinPolygon(
-           layout.location_field,
+           kLocationField,
            geo::Polygon{{{23.0, 37.0}, {24.0, 37.0}, {23.5, 38.0}}})});
   EXPECT_TRUE(ExpectColumnarParity(points, all, layout));
 }
@@ -563,10 +554,10 @@ TEST(ColumnarSelectionTest, HilbertRangeSetEndpoints) {
 TEST(ColumnarSelectionTest, BucketsWithoutANeededColumnFallBack) {
   const storage::BucketLayout layout = ParityLayout();
   const query::ExprPtr box = query::MakeGeoWithinBox(
-      layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
+      kLocationField, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
   std::vector<bson::Document> points;
   for (int i = 0; i < 8; ++i) {
-    points.push_back(ParityPoint(layout, kWindowBase + i * 1000,
+    points.push_back(ParityPoint(kWindowBase + i * 1000,
                                  Loc(22.8 + i * 0.2, 37.5), i));
   }
   // Int32 coordinates: a valid GeoJSON point for Matches, but not the
@@ -578,13 +569,13 @@ TEST(ColumnarSelectionTest, BucketsWithoutANeededColumnFallBack) {
   int_point.Append("coordinates",
                    bson::Value::MakeArray(
                        {bson::Value::Int32(23), bson::Value::Int32(37)}));
-  odd[3].Set(layout.location_field,
+  odd[3].Set(kLocationField,
              bson::Value::MakeDocument(std::move(int_point)));
   EXPECT_FALSE(ExpectColumnarParity(odd, box, layout));
   // A time-only selection needs no location column.
   EXPECT_TRUE(ExpectColumnarParity(
       odd,
-      query::MakeCmp(layout.time_field, query::CmpOp::kGte,
+      query::MakeCmp(kDateField, query::CmpOp::kGte,
                      bson::Value::DateTime(kWindowBase + 4000)),
       layout));
 
@@ -596,9 +587,9 @@ TEST(ColumnarSelectionTest, BucketsWithoutANeededColumnFallBack) {
   // A hilbert value that is not Int64 leaves the bucket without a hil
   // column: a RangeSet selection falls back, a spatial one does not.
   for (bson::Document& p : mixed) {
-    p.Append(layout.hilbert_field, bson::Value::Int64(100));
+    p.Append(kHilbertField, bson::Value::Int64(100));
   }
-  mixed[6].Set(layout.hilbert_field, bson::Value::Int32(100));
+  mixed[6].Set(kHilbertField, bson::Value::Int32(100));
   {
     const Result<bson::Document> b = storage::EncodeBucket(mixed, layout);
     ASSERT_TRUE(b.ok());
@@ -609,7 +600,7 @@ TEST(ColumnarSelectionTest, BucketsWithoutANeededColumnFallBack) {
   }
   EXPECT_TRUE(ExpectColumnarParity(mixed, box, layout));
   const query::ExprPtr rs = query::MakeRangeSet(
-      layout.hilbert_field,
+      kHilbertField,
       {{bson::Value::Int64(100), bson::Value::Int64(100)}});
   EXPECT_FALSE(ExpectColumnarParity(mixed, query::MakeAnd({box, rs}),
                                     layout));
@@ -618,12 +609,12 @@ TEST(ColumnarSelectionTest, BucketsWithoutANeededColumnFallBack) {
 TEST(ColumnarSelectionTest, RepeatedFieldNamesFollowTheFirstOccurrence) {
   const storage::BucketLayout layout = ParityLayout();
   const query::ExprPtr box = query::MakeGeoWithinBox(
-      layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
+      kLocationField, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
   std::vector<bson::Document> points;
   for (int i = 0; i < 6; ++i) {
-    bson::Document p = ParityPoint(layout, kWindowBase + i * 1000,
+    bson::Document p = ParityPoint(kWindowBase + i * 1000,
                                    Loc(23.1 + i * 0.1, 37.5), i);
-    p.Append(layout.hilbert_field, bson::Value::Int64(100));
+    p.Append(kHilbertField, bson::Value::Int64(100));
     points.push_back(std::move(p));
   }
   // Matches reads the first "location": a non-canonical point outside the
@@ -635,39 +626,36 @@ TEST(ColumnarSelectionTest, RepeatedFieldNamesFollowTheFirstOccurrence) {
   int_point.Append("coordinates",
                    bson::Value::MakeArray(
                        {bson::Value::Int32(25), bson::Value::Int32(39)}));
-  locs[2].Set(layout.location_field,
+  locs[2].Set(kLocationField,
               bson::Value::MakeDocument(std::move(int_point)));
-  locs[2].Append(layout.location_field, Loc(23.5, 37.5));
+  locs[2].Append(kLocationField, Loc(23.5, 37.5));
   EXPECT_FALSE(ExpectColumnarParity(locs, box, layout));
   // The same for the hilbert column: the first value is an Int32 outside
   // the range set, the second an Int64 inside it.
   std::vector<bson::Document> hils = points;
-  hils[4].Set(layout.hilbert_field, bson::Value::Int32(5));
-  hils[4].Append(layout.hilbert_field, bson::Value::Int64(100));
+  hils[4].Set(kHilbertField, bson::Value::Int32(5));
+  hils[4].Append(kHilbertField, bson::Value::Int64(100));
   const query::ExprPtr rs = query::MakeRangeSet(
-      layout.hilbert_field,
+      kHilbertField,
       {{bson::Value::Int64(100), bson::Value::Int64(100)}});
   EXPECT_FALSE(ExpectColumnarParity(hils, rs, layout));
   // A repeated canonical location: the first one is extracted, as Matches
   // reads it, and the selection still applies.
   std::vector<bson::Document> twice = points;
-  twice[1].Append(layout.location_field, Loc(25.0, 39.0));
-  twice[3].Set(layout.location_field, Loc(25.0, 39.0));
-  twice[3].Append(layout.location_field, Loc(23.5, 37.5));
+  twice[1].Append(kLocationField, Loc(25.0, 39.0));
+  twice[3].Set(kLocationField, Loc(25.0, 39.0));
+  twice[3].Append(kLocationField, Loc(23.5, 37.5));
   EXPECT_TRUE(ExpectColumnarParity(twice, box, layout));
 }
 
 TEST(ColumnarSelectionTest, OnlyConjunctionsOfColumnLeavesCompile) {
-  const storage::BucketLayout layout = ParityLayout();
   const query::ExprPtr time = query::MakeCmp(
-      layout.time_field, query::CmpOp::kGte, bson::Value::DateTime(0));
+      kDateField, query::CmpOp::kGte, bson::Value::DateTime(0));
   const query::ExprPtr box = query::MakeGeoWithinBox(
-      layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
-  EXPECT_TRUE(
-      query::CompileBucketSelection(query::MakeAnd({time, box}), layout)
-          .exact);
+      kLocationField, geo::Rect{{23.0, 37.0}, {24.0, 38.0}});
+  EXPECT_TRUE(query::CompileBucketSelection(query::MakeAnd({time, box})).exact);
   // A null expression matches everything: an empty, exact selection.
-  EXPECT_TRUE(query::CompileBucketSelection(nullptr, layout).exact);
+  EXPECT_TRUE(query::CompileBucketSelection(nullptr).exact);
   const std::vector<query::ExprPtr> rejected = {
       // A residual field.
       query::MakeAnd({time, query::MakeCmp("speed", query::CmpOp::kGt,
@@ -675,14 +663,14 @@ TEST(ColumnarSelectionTest, OnlyConjunctionsOfColumnLeavesCompile) {
       query::MakeIn("vehicleId", {bson::Value::Int32(3)}),
       query::MakeOr({time, box}),
       // A time comparison against a non-date value.
-      query::MakeCmp(layout.time_field, query::CmpOp::kGte,
+      query::MakeCmp(kDateField, query::CmpOp::kGte,
                      bson::Value::Int64(0)),
       // A hilbert RangeSet with non-Int64 bounds.
-      query::MakeRangeSet(layout.hilbert_field,
+      query::MakeRangeSet(kHilbertField,
                           {{bson::Value::Int32(1), bson::Value::Int32(2)}}),
   };
   for (const query::ExprPtr& e : rejected) {
-    EXPECT_FALSE(query::CompileBucketSelection(e, layout).exact)
+    EXPECT_FALSE(query::CompileBucketSelection(e).exact)
         << e->DebugString();
   }
 }
@@ -691,7 +679,7 @@ TEST(ColumnarSelectionTest, NoSurvivorLeavesIdsAndResidualsUndecoded) {
   const storage::BucketLayout layout = ParityLayout();
   std::vector<bson::Document> points;
   for (int i = 0; i < 8; ++i) {
-    points.push_back(ParityPoint(layout, kWindowBase + i * 1000,
+    points.push_back(ParityPoint(kWindowBase + i * 1000,
                                  Loc(23.0 + i * 0.1, 37.0 + i * 0.1), i));
   }
   Result<bson::Document> bucket = storage::EncodeBucket(points, layout);
@@ -711,14 +699,14 @@ TEST(ColumnarSelectionTest, NoSurvivorLeavesIdsAndResidualsUndecoded) {
   ASSERT_TRUE(meta.ok());
   bool selected = false;
   const Result<std::vector<bson::Document>> empty =
-      storage::DecodeBucket(*bucket, *meta, layout, &none, &selected);
+      storage::DecodeBucket(*bucket, *meta, &none, &selected);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_TRUE(selected);
   EXPECT_TRUE(empty->empty());
   // One survivor forces the garbled columns to decode.
   storage::BucketSelection one;
   one.rects.push_back(geo::Rect{{22.95, 36.95}, {23.05, 37.05}});
-  EXPECT_FALSE(storage::DecodeBucket(*bucket, *meta, layout, &one).ok());
+  EXPECT_FALSE(storage::DecodeBucket(*bucket, *meta, &one).ok());
 }
 
 // A stored bucket whose points span more than one timestamp.
@@ -864,9 +852,7 @@ TEST(BucketQueryTest, CorruptBucketFailsTheRead) {
                         bson::Value::DateTime(t1)),
        query::MakeCmp("vehicleId", query::CmpOp::kGte,
                       bson::Value::Int32(-1))});
-  ASSERT_FALSE(query::CompileBucketSelection(
-                   residual, store->bucket_catalog()->layout())
-                   .exact);
+  ASSERT_FALSE(query::CompileBucketSelection(residual).exact);
   const cluster::ClusterQueryResult full = store->cluster().Query(residual);
   EXPECT_EQ(full.status.code(), StatusCode::kCorruption)
       << full.status.ToString();

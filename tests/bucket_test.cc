@@ -46,11 +46,11 @@ std::vector<bson::Document> MakeWindowPoints(const BucketLayout& layout,
 
 // Decodes `bucket` the way its callers do: metadata first, then columns.
 Result<std::vector<bson::Document>> DecodeWithMeta(
-    const bson::Document& bucket, const BucketLayout& layout,
-    const BucketSelection* selection = nullptr, bool* selected = nullptr) {
+    const bson::Document& bucket, const BucketSelection* selection = nullptr,
+    bool* selected = nullptr) {
   const Result<BucketMeta> meta = ParseBucketMeta(bucket);
   if (!meta.ok()) return meta.status();
-  return DecodeBucket(bucket, *meta, layout, selection, selected);
+  return DecodeBucket(bucket, *meta, selection, selected);
 }
 
 void ExpectBitExact(const std::vector<bson::Document>& original,
@@ -70,7 +70,7 @@ TEST(BucketCodecTest, RoundTripIsBitExact) {
   ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
   EXPECT_TRUE(IsBucketDocument(*bucket));
   const Result<std::vector<bson::Document>> back =
-      DecodeWithMeta(*bucket, layout);
+      DecodeWithMeta(*bucket);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectBitExact(points, *back);
 }
@@ -100,11 +100,11 @@ TEST(BucketCodecTest, UniformSchemaUsesColumnarResiduals) {
   EXPECT_NE(mixed_data->AsDocument().Get("res"), nullptr);
 
   const Result<std::vector<bson::Document>> back_cols =
-      DecodeWithMeta(*cols_bucket, layout);
+      DecodeWithMeta(*cols_bucket);
   ASSERT_TRUE(back_cols.ok());
   ExpectBitExact(uniform, *back_cols);
   const Result<std::vector<bson::Document>> back_res =
-      DecodeWithMeta(*res_bucket, layout);
+      DecodeWithMeta(*res_bucket);
   ASSERT_TRUE(back_res.ok()) << back_res.status().ToString();
   ExpectBitExact(mixed, *back_res);
 }
@@ -145,6 +145,18 @@ TEST(BucketCodecTest, StoredPointCountIsMetaNElseOne) {
     ASSERT_FALSE(ParseBucketMeta(mutated).ok());
     EXPECT_EQ(StoredPointCount(mutated), 1u);
   }
+  // A non-positive meta.n is corrupt, not a bucket of 2^32 - 1 points.
+  for (const int32_t n : {-1, 0}) {
+    bson::Document meta = (*bucket).Get(kBucketMetaField)->AsDocument();
+    meta.Set("n", bson::Value::Int32(n));
+    bson::Document mutated = *bucket;
+    mutated.Set(kBucketMetaField, bson::Value::MakeDocument(std::move(meta)));
+    ASSERT_TRUE(IsBucketDocument(mutated));
+    EXPECT_EQ(ParseBucketMeta(mutated).status().code(),
+              StatusCode::kCorruption)
+        << "n=" << n;
+    EXPECT_EQ(StoredPointCount(mutated), 1u) << "n=" << n;
+  }
 }
 
 TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
@@ -159,13 +171,13 @@ TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
   for (size_t i = 0; i < points.size(); ++i) {
     double lon = 0, lat = 0;
     ASSERT_TRUE(bson::ExtractGeoJsonPoint(
-        *points[i].Get(layout.location_field), &lon, &lat));
+        *points[i].Get(kLocationField), &lon, &lat));
     BucketSelection sel;
-    sel.min_ts = sel.max_ts = points[i].Get(layout.time_field)->AsDateTime();
+    sel.min_ts = sel.max_ts = points[i].Get(kDateField)->AsDateTime();
     sel.rects.push_back(geo::Rect{{lon, lat}, {lon, lat}});
     bool selected = false;
     const Result<std::vector<bson::Document>> one =
-        DecodeWithMeta(*bucket, layout, &sel, &selected);
+        DecodeWithMeta(*bucket, &sel, &selected);
     ASSERT_TRUE(one.ok()) << one.status().ToString();
     EXPECT_TRUE(selected);
     ExpectBitExact({points[i]}, *one);
@@ -198,7 +210,7 @@ TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
       mutated_data.Set(name, bson::Value::String(column.substr(0, cut)));
       mutated.Set(kBucketDataField,
                   bson::Value::MakeDocument(std::move(mutated_data)));
-      const auto result = DecodeWithMeta(mutated, layout);
+      const auto result = DecodeWithMeta(mutated);
       EXPECT_FALSE(result.ok()) << "column " << name << " cut " << cut;
     }
   }
@@ -237,7 +249,7 @@ TEST(BucketCodecTest, RandomizedRoundTrip) {
     const Result<bson::Document> bucket = EncodeBucket(points, layout);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
     const Result<std::vector<bson::Document>> back =
-        DecodeWithMeta(*bucket, layout);
+        DecodeWithMeta(*bucket);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectBitExact(points, *back);
   }
@@ -252,7 +264,7 @@ TEST(BucketCodecTest, GoldenBucketShape) {
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
   EXPECT_NE(bucket->Get("_id"), nullptr);
-  const bson::Value* time = bucket->Get(layout.time_field);
+  const bson::Value* time = bucket->Get(kDateField);
   ASSERT_NE(time, nullptr);
   EXPECT_EQ(time->AsDateTime(), layout.WindowBase(1530403200000));
   const bson::Value* meta = bucket->Get(kBucketMetaField);
@@ -274,7 +286,7 @@ TEST(BucketCatalogTest, SealsOnMaxPoints) {
   BucketLayout layout;
   layout.max_points = 10;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });
@@ -300,7 +312,7 @@ TEST(BucketCatalogTest, KeysByVehicleAndWindow) {
   BucketLayout layout;
   layout.window_ms = 1000;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });
@@ -317,11 +329,42 @@ TEST(BucketCatalogTest, KeysByVehicleAndWindow) {
   EXPECT_EQ(catalog.open_buckets(), 0u);
 }
 
+TEST(BucketCatalogTest, OpenBucketCapSealsLeastRecentlyTouched) {
+  const BucketLayout layout;
+  std::vector<bson::Document> flushed;
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
+    flushed.push_back(std::move(bucket));
+    return Status::OK();
+  });
+  const int64_t base = layout.WindowBase(1530403200000);
+  const int cap = static_cast<int>(BucketCatalog::kMaxOpenBuckets);
+  // One point per vehicle fills the catalog to the cap without a seal.
+  for (int vehicle = 0; vehicle < cap; ++vehicle) {
+    ASSERT_TRUE(catalog.Add(MakePoint(vehicle, base, 23.7, 37.9, 0)).ok());
+  }
+  EXPECT_EQ(catalog.open_buckets(), BucketCatalog::kMaxOpenBuckets);
+  EXPECT_TRUE(flushed.empty());
+  // Touch vehicle 0 again: vehicle 1 becomes the least recently touched.
+  ASSERT_TRUE(catalog.Add(MakePoint(0, base + 1, 23.7, 37.9, 1)).ok());
+  EXPECT_TRUE(flushed.empty());
+  // Vehicle number cap + 1 overflows the cap: exactly one bucket seals.
+  ASSERT_TRUE(catalog.Add(MakePoint(cap, base, 23.7, 37.9, 0)).ok());
+  EXPECT_EQ(catalog.open_buckets(), BucketCatalog::kMaxOpenBuckets);
+  ASSERT_EQ(flushed.size(), 1u);
+  const Result<std::vector<bson::Document>> sealed =
+      DecodeWithMeta(flushed[0]);
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  ASSERT_EQ(sealed->size(), 1u);
+  EXPECT_EQ((*sealed)[0].Get(kVehicleField)->AsInt32(), 1);
+  EXPECT_EQ(catalog.points_buffered(),
+            static_cast<uint64_t>(cap) + 1);  // cap + 2 added, 1 sealed
+}
+
 TEST(BucketCatalogTest, FailedFlushKeepsPointsAndRetries) {
   BucketLayout layout;
   bool fail = true;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     if (fail) return Status::Internal("flush rejected");
     flushed.push_back(std::move(bucket));
     return Status::OK();
@@ -346,7 +389,7 @@ TEST(BucketCatalogTest, HilbertCellSplitsBuckets) {
   layout.use_hilbert = true;
   layout.hilbert_shift = 4;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });
@@ -355,7 +398,7 @@ TEST(BucketCatalogTest, HilbertCellSplitsBuckets) {
   for (const int64_t hil : {int64_t{0}, int64_t{1} << 20}) {
     for (int i = 0; i < 3; ++i) {
       bson::Document p = MakePoint(1, base + i, 23.7, 37.9, i);
-      p.Append(layout.hilbert_field, bson::Value::Int64(hil + i));
+      p.Append(kHilbertField, bson::Value::Int64(hil + i));
       ASSERT_TRUE(catalog.Add(std::move(p)).ok());
     }
   }

@@ -145,8 +145,8 @@ TEST(BalancerTest, NoMoveWhenBalanced) {
   cm.Split(0, keystring::Encode(Value::Int64(10)));
   cm.chunk(1).shard_id = 1;
   Rng rng(1);
-  EXPECT_FALSE(
-      PickNextMigration(cm, 2, {}, BalancerOptions{}, &rng).has_value());
+  EXPECT_FALSE(PickNextMigration(cm, 2, {}, /*weigh_by_points=*/false, &rng)
+                   .has_value());
 }
 
 TEST(BalancerTest, MovesFromLoadedToEmpty) {
@@ -157,7 +157,8 @@ TEST(BalancerTest, MovesFromLoadedToEmpty) {
   }
   // All 4 chunks on shard 0, 2 shards total.
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, {}, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 2, {}, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->to_shard, 1);
 }
@@ -170,7 +171,8 @@ TEST(BalancerTest, ZoneViolationsComeFirst) {
   zones.push_back({keystring::Encode(Value::Int64(10)), keystring::MaxKey(), 1});
   // Chunk 1 belongs to zone of shard 1 but sits on shard 0.
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 2, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->chunk_index, 1u);
   EXPECT_EQ(m->to_shard, 1);
@@ -191,7 +193,8 @@ TEST(BalancerTest, StraddlingChunkIsPinnedByOverlapNotMinKey) {
   EXPECT_EQ(ZoneForKey(zones, cm.chunk(1).min), -1);
   EXPECT_EQ(ZoneForChunk(zones, cm.chunk(1)), 1);
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 2, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->chunk_index, 1u);
   EXPECT_EQ(m->to_shard, 1);
@@ -215,11 +218,36 @@ TEST(BalancerTest, PinnedChunksDoNotMaskMovableImbalance) {
   zones.push_back(
       {keystring::MinKey(), keystring::Encode(Value::Int64(40)), 2});
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 3, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 3, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_GE(m->chunk_index, 4u);
   EXPECT_EQ(cm.chunk(m->chunk_index).shard_id, 1);
   EXPECT_EQ(m->to_shard, 0);
+}
+
+TEST(BalancerTest, PointsWeightedPickMovesHeaviestMovableChunk) {
+  // Four chunks on shard 0 of two. The zone pins [30,Max) — the heaviest
+  // chunk of all — to shard 0, so the pick must weigh movable chunks only:
+  // [10,20) with 90 points, whatever the seed.
+  ChunkManager cm(0);
+  for (int v : {10, 20, 30}) {
+    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+             keystring::Encode(Value::Int64(v)));
+  }
+  const uint64_t points[] = {5, 90, 7, 1000};
+  for (size_t i = 0; i < 4; ++i) cm.chunk(i).points = points[i];
+  std::vector<ZoneRange> zones;
+  zones.push_back(
+      {keystring::Encode(Value::Int64(30)), keystring::MaxKey(), 0});
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    const auto m =
+        PickNextMigration(cm, 2, zones, /*weigh_by_points=*/true, &rng);
+    ASSERT_TRUE(m.has_value()) << "seed=" << seed;
+    EXPECT_EQ(m->chunk_index, 1u) << "seed=" << seed;
+    EXPECT_EQ(m->to_shard, 1) << "seed=" << seed;
+  }
 }
 
 // ---------- Cluster end-to-end ----------

@@ -40,7 +40,7 @@ class ConcurrencyTest : public ::testing::Test {
     opts.chunk_max_bytes = 8 * 1024;  // plenty of splits
     opts.balance_every_inserts = 200;
     opts.seed = 9;
-    opts.balancer.background_interval_ms = 1;
+    opts.background_interval_ms = 1;
     return opts;
   }
 

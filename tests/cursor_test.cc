@@ -931,32 +931,6 @@ TEST_P(StCursorParityTest, PolygonQueryStreamsThroughCursor) {
             reference.cluster.total_docs_examined);
 }
 
-TEST_P(StCursorParityTest, KnnCandidateBudgetBoundsProbeWork) {
-  StStore store(Options());
-  ASSERT_TRUE(store.Setup().ok());
-  Load(&store);
-
-  const geo::Point center{24.0, 38.0};
-  const int64_t t0 = kSpanBegin;
-  const int64_t t1 = kSpanBegin + kDocs * kStepMs;
-  KnnOptions options;
-  options.k = 8;
-  options.batch_size = 16;
-  options.candidate_budget = 32;
-  const KnnResult r = KnnQuery(store, center, t0, t1, options);
-
-  // The budget is a hard per-probe cap: no ring merges more than
-  // candidate_budget documents, so total candidates are bounded by the
-  // number of probes issued.
-  EXPECT_LE(r.candidates_examined,
-            options.candidate_budget *
-                static_cast<uint64_t>(r.queries_issued));
-  ASSERT_EQ(r.neighbors.size(), options.k);
-  for (size_t i = 1; i < r.neighbors.size(); ++i) {
-    EXPECT_GE(r.neighbors[i].distance_m, r.neighbors[i - 1].distance_m);
-  }
-}
-
 TEST_P(StCursorParityTest, YieldingCursorSurvivesInterleavedInsertsAndSplits) {
   StStore store(Options());
   ASSERT_TRUE(store.Setup().ok());

@@ -106,40 +106,52 @@ geo::Rect RectAt(double lon, double lat, double w, double h) {
 
 // ---------- Covering cache: bounded LRU (regression for unbounded growth)
 
-ApproachConfig SmallHilConfig(size_t capacity) {
+ApproachConfig SmallHilConfig() {
   ApproachConfig config;
   config.kind = ApproachKind::kHil;
   config.hilbert_order = 6;  // cheap coverings; cache behaviour is identical
-  config.cover_cache_capacity = capacity;
   return config;
 }
 
+// A distinct cache key per i: distinct rects and distinct windows.
+geo::Rect DistinctRect(Rng* rng) {
+  return RectAt(rng->NextDouble(-179.0, 178.0), rng->NextDouble(-89.0, 88.0),
+                0.5, 0.5);
+}
+
 TEST(CoverCacheTest, StaysBoundedUnderManyDistinctRects) {
-  const Approach a(SmallHilConfig(256));
+  const Approach a(SmallHilConfig());
   Rng rng(7);
-  for (int i = 0; i < 10000; ++i) {
-    const double lon = rng.NextDouble(-179.0, 178.0);
-    const double lat = rng.NextDouble(-89.0, 88.0);
-    // Distinct windows too, so every translation is a distinct key.
-    (void)a.TranslateQuery(RectAt(lon, lat, 0.5, 0.5), i, i + 1000);
+  const uint64_t n = kCoverCacheCapacity + 1;
+  for (uint64_t i = 0; i < n; ++i) {
+    (void)a.TranslateQuery(DistinctRect(&rng), static_cast<int64_t>(i),
+                           static_cast<int64_t>(i) + 1000);
   }
-  EXPECT_LE(a.cover_cache_size(), 256u);
+  EXPECT_EQ(a.cover_cache_size(), kCoverCacheCapacity);
   const CoverCacheStats stats = a.cover_cache_stats();
-  EXPECT_EQ(stats.misses, 10000u);
+  EXPECT_EQ(stats.misses, n);
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.evictions, stats.misses - a.cover_cache_size());
+  EXPECT_EQ(stats.evictions, 1u);
 }
 
 TEST(CoverCacheTest, EvictsLeastRecentlyUsedNotMostRecent) {
-  const Approach a(SmallHilConfig(2));
+  const Approach a(SmallHilConfig());
   const geo::Rect ra = RectAt(10, 10, 1, 1);
   const geo::Rect rb = RectAt(20, 20, 1, 1);
   const geo::Rect rc = RectAt(30, 30, 1, 1);
   (void)a.TranslateQuery(ra, 0, 1);  // miss  {A}
   (void)a.TranslateQuery(rb, 0, 1);  // miss  {B, A}
-  (void)a.TranslateQuery(ra, 0, 1);  // hit   {A, B} — A refreshed
-  (void)a.TranslateQuery(rc, 0, 1);  // miss  {C, A} — evicts B, not A
-  EXPECT_EQ(a.cover_cache_size(), 2u);
+  // Fill the cache to capacity behind them (windows no query above uses).
+  Rng rng(11);
+  for (size_t i = 2; i < kCoverCacheCapacity; ++i) {
+    (void)a.TranslateQuery(DistinctRect(&rng), 10,
+                           11 + static_cast<int64_t>(i));
+  }
+  ASSERT_EQ(a.cover_cache_size(), kCoverCacheCapacity);
+  ASSERT_EQ(a.cover_cache_stats().evictions, 0u);
+  (void)a.TranslateQuery(ra, 0, 1);  // hit   A refreshed; B is now the LRU
+  (void)a.TranslateQuery(rc, 0, 1);  // miss  evicts B, not A
+  EXPECT_EQ(a.cover_cache_size(), kCoverCacheCapacity);
   EXPECT_EQ(a.cover_cache_stats().evictions, 1u);
 
   EXPECT_TRUE(a.TranslateQuery(ra, 0, 1).cache_hit);   // A survived
@@ -147,7 +159,7 @@ TEST(CoverCacheTest, EvictsLeastRecentlyUsedNotMostRecent) {
 }
 
 TEST(CoverCacheTest, RepeatedShapeIsServedFromCache) {
-  const Approach a(SmallHilConfig(64));
+  const Approach a(SmallHilConfig());
   const geo::Rect r = RectAt(23.5, 37.5, 0.4, 0.4);
   const TranslatedQuery first = a.TranslateQuery(r, 100, 200);
   EXPECT_FALSE(first.cache_hit);
@@ -158,15 +170,6 @@ TEST(CoverCacheTest, RepeatedShapeIsServedFromCache) {
   EXPECT_EQ(second.num_singletons, first.num_singletons);
   // The cached expression is the same immutable object.
   EXPECT_EQ(second.expr.get(), first.expr.get());
-}
-
-TEST(CoverCacheTest, CapacityZeroDisablesMemoization) {
-  const Approach a(SmallHilConfig(0));
-  const geo::Rect r = RectAt(23.5, 37.5, 0.4, 0.4);
-  EXPECT_FALSE(a.TranslateQuery(r, 100, 200).cache_hit);
-  EXPECT_FALSE(a.TranslateQuery(r, 100, 200).cache_hit);
-  EXPECT_EQ(a.cover_cache_size(), 0u);
-  EXPECT_EQ(a.cover_cache_stats().misses, 2u);
 }
 
 // ---------- Slow-op profiler (ring-buffer unit behaviour) ----------

@@ -308,13 +308,9 @@ TEST(AdaptiveCoverBudgetTest, PickCoverBudgetThresholds) {
   const Approach hil(config);
   EXPECT_EQ(hil.PickCoverBudget(-1.0), 0u);  // unknown: exact
   EXPECT_EQ(hil.PickCoverBudget(0.001), 0u);
-  EXPECT_EQ(hil.PickCoverBudget(0.5), config.coarse_cover_max_ranges);
+  EXPECT_EQ(hil.PickCoverBudget(kCoarseCoverFraction), 0u);  // inclusive
+  EXPECT_EQ(hil.PickCoverBudget(0.5), kCoarseCoverMaxRanges);
 
-  config.adaptive_cover_budget = false;
-  const Approach off(config);
-  EXPECT_EQ(off.PickCoverBudget(0.5), 0u);
-
-  config.adaptive_cover_budget = true;
   config.kind = ApproachKind::kBslST;
   const Approach baseline(config);
   EXPECT_EQ(baseline.PickCoverBudget(0.5), 0u);  // no covering at all
@@ -336,10 +332,8 @@ TEST(AdaptiveCoverBudgetTest, BroadQueriesCoverCoarselyAfterStatsBuild) {
   // Histograms now exist (the explain executed a query): the same broad
   // rect is recognized as low-selectivity and covered coarsely.
   const StExplain second = store.Explain(broad, kT0, kT0 + kDayMs);
-  EXPECT_EQ(second.cover_budget,
-            store.approach().config().coarse_cover_max_ranges);
-  EXPECT_LE(second.num_ranges + second.num_singletons,
-            store.approach().config().coarse_cover_max_ranges);
+  EXPECT_EQ(second.cover_budget, kCoarseCoverMaxRanges);
+  EXPECT_LE(second.num_ranges + second.num_singletons, kCoarseCoverMaxRanges);
 
   // A tiny rect stays exact.
   const StExplain tiny =

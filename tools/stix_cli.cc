@@ -15,6 +15,7 @@
 // they see exactly the sharding, zones, indexes and placement `load` built.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -62,13 +63,39 @@ int Usage() {
   return 2;
 }
 
+// The one numeric flag parser: the whole text must be a finite number.
+bool ParseNumber(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double v = strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+// A whole number in [lo, hi].
+bool ParseCount(const std::string& text, double lo, double hi, size_t* out) {
+  double v = 0;
+  if (!ParseNumber(text, &v) || v != std::floor(v) || v < lo || v > hi) {
+    return false;
+  }
+  *out = static_cast<size_t>(v);
+  return true;
+}
+
+// Largest --shards a load accepts, and largest --limit (2^53: every whole
+// number up to it is exact in a double).
+constexpr double kMaxShards = 1024;
+constexpr double kMaxLimit = 9007199254740992.0;
+
 bool ParseRect(const std::string& text, stix::geo::Rect* rect) {
   const auto parts = stix::Split(text, ',');
   if (parts.size() != 4) return false;
-  char* end = nullptr;
-  const double v[4] = {
-      strtod(parts[0].c_str(), &end), strtod(parts[1].c_str(), &end),
-      strtod(parts[2].c_str(), &end), strtod(parts[3].c_str(), &end)};
+  double v[4];
+  for (size_t i = 0; i < 4; ++i) {
+    if (!ParseNumber(parts[i], &v[i])) return false;
+  }
   rect->lo = {std::min(v[0], v[2]), std::min(v[1], v[3])};
   rect->hi = {std::max(v[0], v[2]), std::max(v[1], v[3])};
   return true;
@@ -104,7 +131,11 @@ int CmdLoad(const std::map<std::string, std::string>& flags) {
   options.approach.kind = *kind;
   options.cluster.durability.data_dir = out->second;
   if (flags.count("shards")) {
-    options.cluster.num_shards = atoi(flags.at("shards").c_str());
+    size_t shards = 0;
+    if (!ParseCount(flags.at("shards"), 1, kMaxShards, &shards)) {
+      return Usage();
+    }
+    options.cluster.num_shards = static_cast<int>(shards);
   }
   stix::st::StStore store(options);
   if (Status s = store.Setup(); !s.ok()) return Fail(s.ToString());
@@ -172,17 +203,16 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
   if (!store.ok()) return Fail(store.status().ToString());
   stix::geo::Rect rect;
   int64_t t0, t1;
+  size_t limit = 10;
   if (!flags.count("rect") || !ParseRect(flags.at("rect"), &rect) ||
-      !ParseWindow(flags, &t0, &t1)) {
+      !ParseWindow(flags, &t0, &t1) ||
+      (flags.count("limit") &&
+       !ParseCount(flags.at("limit"), 0, kMaxLimit, &limit))) {
     return Usage();
   }
   const auto translated = store->approach->TranslateQuery(rect, t0, t1);
   const stix::cluster::ClusterQueryResult r =
       store->cluster->Query(translated.expr);
-
-  size_t limit = 10;
-  if (flags.count("limit")) limit = strtoull(flags.at("limit").c_str(),
-                                             nullptr, 10);
   printf("%zu documents, %d node(s), max keys %s, %.2f ms\n", r.docs.size(),
          r.nodes_contacted,
          stix::WithThousands(static_cast<int64_t>(r.max_keys_examined))
